@@ -11,6 +11,8 @@
 # The lock-cache suite and an IW_LOCK_CACHE=1 chaos lane run under both
 # sanitizers too: revocation acks ride a background worker thread racing
 # lock acquires, releases, and channel teardown — TSan bait by design.
+# The client API suite runs under TSan as well: it resets and reads the
+# client's stats while another thread runs read critical sections.
 # IW_COMPRESS=1 chaos/lease lanes run under both sanitizers as well: the
 # section envelope, the LZ codec's pointer arithmetic, and compressed
 # journal/chain recovery (the UBSan lane includes the restart seeds) are
@@ -105,8 +107,9 @@ cmake -B "$TSAN_BUILD" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DIW_SANITIZE=thread
 cmake --build "$TSAN_BUILD" -j "$JOBS" \
       --target fault_test lease_test chaos_test reactor_test lock_cache_test \
-      replication_chaos_test
-for t in fault_test lease_test chaos_test reactor_test lock_cache_test; do
+      replication_chaos_test client_api_test
+for t in fault_test lease_test chaos_test reactor_test lock_cache_test \
+         client_api_test; do
   TSAN_OPTIONS=halt_on_error=1 "$TSAN_BUILD"/tests/"$t"
 done
 # The SIGKILL suite forks a multi-threaded child, which TSan's runtime

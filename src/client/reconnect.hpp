@@ -21,7 +21,6 @@
 // application retries the critical section.
 #pragma once
 
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -113,9 +112,10 @@ class ReconnectingChannel final : public ClientChannel {
   std::function<void(const Frame&)> notify_;
   SplitMix64 jitter_;
 
-  std::atomic<uint64_t> reconnects_{0};
-  std::atomic<uint64_t> retried_calls_{0};
-  std::atomic<uint64_t> call_timeouts_{0};
+  struct FaultCounters {
+    IW_ATOMIC_COUNTERS(ChannelFaultStats, IW_CHANNEL_FAULT_COUNTERS)
+  };
+  FaultCounters fault_;
 };
 
 }  // namespace iw::client

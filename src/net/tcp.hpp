@@ -31,6 +31,7 @@
 
 #include "net/reactor.hpp"
 #include "net/transport.hpp"
+#include "util/counters.hpp"
 
 namespace iw {
 
@@ -82,11 +83,14 @@ class TcpClientChannel final : public ClientChannel {
     size_t batch_max_bytes = 64 * 1024;
   };
 
+#define IW_TCP_BATCH_COUNTERS(X)                         \
+  X(frames_sent)    /* request frames written */         \
+  X(send_syscalls)  /* send() calls that carried them */ \
+  X(frames_batched) /* frames that shared a syscall */
+
   /// Aggregation counters for the send path (relaxed-atomic snapshot).
   struct BatchStats {
-    uint64_t frames_sent = 0;     ///< request frames written
-    uint64_t send_syscalls = 0;   ///< send() calls that carried them
-    uint64_t frames_batched = 0;  ///< frames that shared a syscall
+    IW_COUNTER_FIELDS(IW_TCP_BATCH_COUNTERS)
   };
 
   /// Connects to 127.0.0.1:`port`. Throws a transport Error on failure
@@ -113,13 +117,7 @@ class TcpClientChannel final : public ClientChannel {
     s.call_timeouts = call_timeouts_.load(std::memory_order_relaxed);
     return s;
   }
-  BatchStats batch_stats() const {
-    BatchStats s;
-    s.frames_sent = frames_sent_.load(std::memory_order_relaxed);
-    s.send_syscalls = send_syscalls_.load(std::memory_order_relaxed);
-    s.frames_batched = frames_batched_.load(std::memory_order_relaxed);
-    return s;
-  }
+  BatchStats batch_stats() const { return batch_.snapshot(); }
 
  private:
   void receive_loop();
@@ -182,9 +180,10 @@ class TcpClientChannel final : public ClientChannel {
   std::atomic<uint64_t> bytes_sent_{0};
   std::atomic<uint64_t> bytes_received_{0};
   std::atomic<uint64_t> call_timeouts_{0};
-  std::atomic<uint64_t> frames_sent_{0};
-  std::atomic<uint64_t> send_syscalls_{0};
-  std::atomic<uint64_t> frames_batched_{0};
+  struct BatchCounters {
+    IW_ATOMIC_COUNTERS(BatchStats, IW_TCP_BATCH_COUNTERS)
+  };
+  BatchCounters batch_;
 };
 
 }  // namespace iw

@@ -55,25 +55,8 @@ SegmentStore::SegmentStore(std::string name, Options options)
     : name_(std::move(name)), options_(options) {}
 
 StoreStats SegmentStore::stats() const noexcept {
-  StoreStats s;
-  s.diffs_applied = stats_.diffs_applied.load(std::memory_order_relaxed);
-  s.diffs_collected = stats_.diffs_collected.load(std::memory_order_relaxed);
-  s.diff_cache_hits = stats_.diff_cache_hits.load(std::memory_order_relaxed);
-  s.diff_cache_misses =
-      stats_.diff_cache_misses.load(std::memory_order_relaxed);
-  s.prediction_hits = stats_.prediction_hits.load(std::memory_order_relaxed);
-  s.prediction_misses =
-      stats_.prediction_misses.load(std::memory_order_relaxed);
-  s.bytes_applied = stats_.bytes_applied.load(std::memory_order_relaxed);
-  s.bytes_collected = stats_.bytes_collected.load(std::memory_order_relaxed);
-  s.apply_ns = stats_.apply_ns.load(std::memory_order_relaxed);
-  s.collect_ns = stats_.collect_ns.load(std::memory_order_relaxed);
-  TranslationStats t = registry_.translation_stats();
-  s.bytes_encoded = t.bytes_encoded;
-  s.bytes_decoded = t.bytes_decoded;
-  s.plan_cache_hits = t.plan_cache_hits;
-  s.plan_cache_misses = t.plan_cache_misses;
-  s.isomorphic_fast_path_blocks = t.isomorphic_fast_path_blocks;
+  StoreStats s = stats_.snapshot();
+  registry_.load_translation_stats(s);
   return s;
 }
 

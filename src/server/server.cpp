@@ -215,6 +215,16 @@ void SegmentServer::acquire_writer_locked(SegmentEntry& entry,
                                           std::unique_lock<std::mutex>& el) {
   using clock = std::chrono::steady_clock;
   const auto lease = std::chrono::milliseconds(options_.writer_lease_ms);
+  // The writer's own cached read lock is subsumed by the write lock, not
+  // revoked: a writer is always allowed to read what it is writing. Drop it
+  // before waiting for the slot: its kRevokeAck would queue behind this
+  // acquire on the same connection, stalling a writer that is draining it
+  // until the deadline. The client holds no local readers while it asks.
+  if (auto it = entry.sessions.find(session); it != entry.sessions.end()) {
+    if (it->second.cached_read) entry.writer_cv.notify_all();
+    it->second.cached_read = false;
+    it->second.revoke_pending = false;
+  }
   while (entry.writer != 0) {
     if (options_.writer_lease_ms == 0) {
       entry.writer_cv.wait(el);
@@ -254,12 +264,6 @@ void SegmentServer::revoke_cached_readers_locked(
     SegmentEntry& entry, const std::string& name, SessionId session,
     std::unique_lock<std::mutex>& el) {
   using clock = std::chrono::steady_clock;
-  // The writer's own cached read lock is subsumed by the write lock, not
-  // revoked: a writer is always allowed to read what it is writing.
-  if (auto it = entry.sessions.find(session); it != entry.sessions.end()) {
-    it->second.cached_read = false;
-    it->second.revoke_pending = false;
-  }
   // Grants past their TTL are dropped up front, with no revoke round trip:
   // their holders are presumed gone, and the writer should not spend the
   // revocation deadline waiting for acks that cannot come.
@@ -1843,67 +1847,11 @@ void SegmentServer::recover() {
 }
 
 SegmentServer::Stats SegmentServer::stats() const {
-  Stats s;
-  s.requests = stats_.requests.load(std::memory_order_relaxed);
-  s.updates_sent = stats_.updates_sent.load(std::memory_order_relaxed);
-  s.uptodate_responses =
-      stats_.uptodate_responses.load(std::memory_order_relaxed);
-  s.notifications_sent =
-      stats_.notifications_sent.load(std::memory_order_relaxed);
-  s.checkpoints_written =
-      stats_.checkpoints_written.load(std::memory_order_relaxed);
-  s.lease_expirations = stats_.lease_expirations.load(std::memory_order_relaxed);
-  s.stale_releases_rejected =
-      stats_.stale_releases_rejected.load(std::memory_order_relaxed);
-  s.cached_read_grants =
-      stats_.cached_read_grants.load(std::memory_order_relaxed);
-  s.revokes_sent = stats_.revokes_sent.load(std::memory_order_relaxed);
-  s.revokes_acked = stats_.revokes_acked.load(std::memory_order_relaxed);
-  s.revokes_expired = stats_.revokes_expired.load(std::memory_order_relaxed);
-  s.wal_records_appended =
-      wal_counters_.records_appended.load(std::memory_order_relaxed);
-  s.wal_bytes_appended =
-      wal_counters_.bytes_appended.load(std::memory_order_relaxed);
-  s.wal_fsyncs = wal_counters_.fsyncs.load(std::memory_order_relaxed);
-  s.wal_replayed_records =
-      stats_.wal_replayed_records.load(std::memory_order_relaxed);
-  s.wal_truncated_bytes =
-      stats_.wal_truncated_bytes.load(std::memory_order_relaxed);
-  s.recoveries_completed =
-      stats_.recoveries_completed.load(std::memory_order_relaxed);
-  s.checkpoints_quarantined =
-      stats_.checkpoints_quarantined.load(std::memory_order_relaxed);
-  s.checkpoints_incremental =
-      stats_.checkpoints_incremental.load(std::memory_order_relaxed);
-  s.checkpoint_chain_folds =
-      stats_.checkpoint_chain_folds.load(std::memory_order_relaxed);
-  s.updates_compressed =
-      stats_.updates_compressed.load(std::memory_order_relaxed);
-  s.update_raw_bytes = stats_.update_raw_bytes.load(std::memory_order_relaxed);
-  s.update_wire_bytes =
-      stats_.update_wire_bytes.load(std::memory_order_relaxed);
-  s.commits_compressed =
-      stats_.commits_compressed.load(std::memory_order_relaxed);
-  s.commit_raw_bytes = stats_.commit_raw_bytes.load(std::memory_order_relaxed);
-  s.commit_stored_bytes =
-      stats_.commit_stored_bytes.load(std::memory_order_relaxed);
-  s.repl_records_applied =
-      stats_.repl_records_applied.load(std::memory_order_relaxed);
-  s.repl_stale_rejected =
-      stats_.repl_stale_rejected.load(std::memory_order_relaxed);
-  s.promotions_accepted =
-      stats_.promotions_accepted.load(std::memory_order_relaxed);
-  s.expired_grants_swept =
-      stats_.expired_grants_swept.load(std::memory_order_relaxed);
-  s.sync_requests = stats_.sync_requests.load(std::memory_order_relaxed);
-  s.sync_tails_served =
-      stats_.sync_tails_served.load(std::memory_order_relaxed);
-  s.sync_snapshots_served =
-      stats_.sync_snapshots_served.load(std::memory_order_relaxed);
-  s.backfills_completed =
-      stats_.backfills_completed.load(std::memory_order_relaxed);
-  s.recruits_rejected_stale =
-      stats_.recruits_rejected_stale.load(std::memory_order_relaxed);
+  Stats s = stats_.snapshot();
+#define IW_WAL_STATS_LOAD_(name) \
+  s.wal_##name = wal_counters_.name.load(std::memory_order_relaxed);
+  IW_WAL_COUNTERS(IW_WAL_STATS_LOAD_)
+#undef IW_WAL_STATS_LOAD_
   return s;
 }
 

@@ -31,6 +31,7 @@
 #include "server/replication.hpp"
 #include "server/segment_store.hpp"
 #include "server/wal.hpp"
+#include "util/counters.hpp"
 #include "wire/coherence.hpp"
 
 namespace iw::server {
@@ -106,52 +107,55 @@ class SegmentServer : public ServerCore {
     SegmentStore::Options store;
   };
 
+#define IW_SERVER_COUNTERS(X)                                             \
+  X(requests)                                                             \
+  X(updates_sent)                                                         \
+  X(uptodate_responses)                                                   \
+  X(notifications_sent)                                                   \
+  X(checkpoints_written)                                                  \
+  X(lease_expirations)       /* writer locks reclaimed */                 \
+  X(stale_releases_rejected) /* kLeaseExpired responses */                \
+  /* Distributed lock caching (reader locks retained client-side). */     \
+  X(cached_read_grants)      /* releases that kept the lock cached */     \
+  X(revokes_sent)            /* kRevokeRead notifications pushed */       \
+  X(revokes_acked)           /* cached locks released by clients */       \
+  X(revokes_expired)         /* cached locks reclaimed on deadline */     \
+  /* Recovery (the journals' own counters are the wal_ fields). */        \
+  X(wal_replayed_records)    /* records applied by recover() */           \
+  X(wal_truncated_bytes)     /* torn-tail bytes cut at recover */         \
+  X(recoveries_completed)    /* recover() invocations done */             \
+  X(checkpoints_quarantined) /* corrupt .iwseg/.iwinc set aside */        \
+  X(checkpoints_incremental) /* delta records appended */                 \
+  X(checkpoint_chain_folds)  /* delta records folded at recover */        \
+  /* Payload pipeline: what the section envelope and the record */        \
+  /* envelope saved, measured where the bytes would otherwise be paid. */ \
+  X(updates_compressed)      /* update diffs sent compressed */           \
+  X(update_raw_bytes)        /* diff bytes before the envelope */         \
+  X(update_wire_bytes)       /* diff section bytes on the wire */         \
+  X(commits_compressed)      /* commit records journaled packed */        \
+  X(commit_raw_bytes)        /* commit payload bytes pre-envelope */      \
+  X(commit_stored_bytes)     /* commit payload bytes journaled */         \
+  /* Federation (replica role): records streamed in by a primary */       \
+  /* and placement-epoch enforcement. */                                  \
+  X(repl_records_applied)    /* kWalAppend records applied */             \
+  X(repl_stale_rejected)     /* records refused by epoch fence */         \
+  X(promotions_accepted)     /* kPromote epochs adopted */                \
+  X(expired_grants_swept)    /* cached grants dropped by TTL */           \
+  /* Self-healing replication (sync serving + backfill pulls). */         \
+  X(sync_requests)           /* kSyncRequest frames served */             \
+  X(sync_tails_served)       /* syncs answered with a WAL-tail fold */    \
+  X(sync_snapshots_served)   /* syncs answered with a snapshot */         \
+  X(backfills_completed)     /* backfill_segment() installs */            \
+  X(recruits_rejected_stale) /* kRecruit refused by epoch fence */
+
   /// Snapshot of the server-wide counters (maintained as relaxed atomics;
   /// the request hot path never takes a stats lock).
   struct Stats {
-    uint64_t requests = 0;
-    uint64_t updates_sent = 0;
-    uint64_t uptodate_responses = 0;
-    uint64_t notifications_sent = 0;
-    uint64_t checkpoints_written = 0;
-    uint64_t lease_expirations = 0;        ///< writer locks reclaimed
-    uint64_t stale_releases_rejected = 0;  ///< kLeaseExpired responses
-    // Distributed lock caching (reader locks retained client-side).
-    uint64_t cached_read_grants = 0;  ///< releases that kept the lock cached
-    uint64_t revokes_sent = 0;        ///< kRevokeRead notifications pushed
-    uint64_t revokes_acked = 0;       ///< cached locks released by clients
-    uint64_t revokes_expired = 0;     ///< cached locks reclaimed on deadline
-    // Durability counters (write-ahead log + recovery), summed over every
-    // segment's journal.
-    uint64_t wal_records_appended = 0;
-    uint64_t wal_bytes_appended = 0;
-    uint64_t wal_fsyncs = 0;
-    uint64_t wal_replayed_records = 0;      ///< records applied by recover()
-    uint64_t wal_truncated_bytes = 0;       ///< torn-tail bytes cut at recover
-    uint64_t recoveries_completed = 0;      ///< recover() invocations done
-    uint64_t checkpoints_quarantined = 0;   ///< corrupt *.iwseg/*.iwinc aside
-    uint64_t checkpoints_incremental = 0;   ///< delta records appended
-    uint64_t checkpoint_chain_folds = 0;    ///< delta records folded at recover
-    // Payload pipeline: what the section envelope and the record envelope
-    // saved, measured where the bytes would otherwise have been paid.
-    uint64_t updates_compressed = 0;     ///< update diffs sent compressed
-    uint64_t update_raw_bytes = 0;       ///< diff bytes before the envelope
-    uint64_t update_wire_bytes = 0;      ///< diff section bytes on the wire
-    uint64_t commits_compressed = 0;     ///< commit records journaled packed
-    uint64_t commit_raw_bytes = 0;       ///< commit payload bytes pre-envelope
-    uint64_t commit_stored_bytes = 0;    ///< commit payload bytes journaled
-    // Federation (replica role): records streamed in by a primary and
-    // placement-epoch enforcement.
-    uint64_t repl_records_applied = 0;   ///< kWalAppend records applied
-    uint64_t repl_stale_rejected = 0;    ///< records refused by epoch fence
-    uint64_t promotions_accepted = 0;    ///< kPromote epochs adopted
-    uint64_t expired_grants_swept = 0;   ///< cached grants dropped by TTL
-    // Self-healing replication (sync serving + backfill pulls).
-    uint64_t sync_requests = 0;          ///< kSyncRequest frames served
-    uint64_t sync_tails_served = 0;      ///< syncs answered with a WAL-tail fold
-    uint64_t sync_snapshots_served = 0;  ///< syncs answered with a snapshot
-    uint64_t backfills_completed = 0;    ///< backfill_segment() installs
-    uint64_t recruits_rejected_stale = 0;///< kRecruit refused by epoch fence
+    IW_COUNTER_FIELDS(IW_SERVER_COUNTERS)
+    // Write-ahead log counters summed over every segment's journal.
+#define IW_WAL_STATS_FIELD_(name) uint64_t wal_##name = 0;
+    IW_WAL_COUNTERS(IW_WAL_STATS_FIELD_)
+#undef IW_WAL_STATS_FIELD_
   };
 
   SegmentServer();
@@ -304,38 +308,7 @@ class SegmentServer : public ServerCore {
     Frame frame;
   };
   struct AtomicStats {
-    std::atomic<uint64_t> requests{0};
-    std::atomic<uint64_t> updates_sent{0};
-    std::atomic<uint64_t> uptodate_responses{0};
-    std::atomic<uint64_t> notifications_sent{0};
-    std::atomic<uint64_t> checkpoints_written{0};
-    std::atomic<uint64_t> lease_expirations{0};
-    std::atomic<uint64_t> stale_releases_rejected{0};
-    std::atomic<uint64_t> cached_read_grants{0};
-    std::atomic<uint64_t> revokes_sent{0};
-    std::atomic<uint64_t> revokes_acked{0};
-    std::atomic<uint64_t> revokes_expired{0};
-    std::atomic<uint64_t> wal_replayed_records{0};
-    std::atomic<uint64_t> wal_truncated_bytes{0};
-    std::atomic<uint64_t> recoveries_completed{0};
-    std::atomic<uint64_t> checkpoints_quarantined{0};
-    std::atomic<uint64_t> checkpoints_incremental{0};
-    std::atomic<uint64_t> checkpoint_chain_folds{0};
-    std::atomic<uint64_t> updates_compressed{0};
-    std::atomic<uint64_t> update_raw_bytes{0};
-    std::atomic<uint64_t> update_wire_bytes{0};
-    std::atomic<uint64_t> commits_compressed{0};
-    std::atomic<uint64_t> commit_raw_bytes{0};
-    std::atomic<uint64_t> commit_stored_bytes{0};
-    std::atomic<uint64_t> repl_records_applied{0};
-    std::atomic<uint64_t> repl_stale_rejected{0};
-    std::atomic<uint64_t> promotions_accepted{0};
-    std::atomic<uint64_t> expired_grants_swept{0};
-    std::atomic<uint64_t> sync_requests{0};
-    std::atomic<uint64_t> sync_tails_served{0};
-    std::atomic<uint64_t> sync_snapshots_served{0};
-    std::atomic<uint64_t> backfills_completed{0};
-    std::atomic<uint64_t> recruits_rejected_stale{0};
+    IW_ATOMIC_COUNTERS(Stats, IW_SERVER_COUNTERS)
   };
 
   Frame dispatch(SessionId session, const Frame& request,

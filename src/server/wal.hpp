@@ -42,7 +42,6 @@
 // only touched under that entry's mutex, exactly like the store.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -51,6 +50,7 @@
 #include <vector>
 
 #include "net/fault.hpp"
+#include "util/counters.hpp"
 
 namespace iw::server {
 
@@ -68,12 +68,16 @@ enum class WalRecordType : uint8_t {
                        ///< lineage matches the promoted one.
 };
 
+/// Journal counters; SegmentServer::Stats reports them as wal_<name>.
+#define IW_WAL_COUNTERS(X) \
+  X(records_appended)      \
+  X(bytes_appended)        \
+  X(fsyncs)
+
 /// Shared relaxed-atomic counters; the owning server aggregates one
 /// instance across every segment's log.
 struct WalCounters {
-  std::atomic<uint64_t> records_appended{0};
-  std::atomic<uint64_t> bytes_appended{0};
-  std::atomic<uint64_t> fsyncs{0};
+  IW_WAL_COUNTERS(IW_COUNTER_ATOMIC)
 };
 
 class WriteAheadLog {

@@ -99,6 +99,12 @@ class TypeRegistry {
   TranslationStats translation_stats() const noexcept {
     return translation_counters_.snapshot();
   }
+  /// The same counters, loaded into a stats struct that splices
+  /// IW_TRANSLATION_COUNTERS (StoreStats, ClientStats).
+  template <class Out>
+  void load_translation_stats(Out& out) const noexcept {
+    translation_counters_.load_into(out);
+  }
   void reset_translation_stats() noexcept { translation_counters_.reset(); }
 
  private:

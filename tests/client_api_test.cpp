@@ -2,6 +2,9 @@
 // operation, statistics, the IW_* C facade, and RAII lock guards.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 #include "interweave/interweave.hpp"
 
 namespace iw {
@@ -129,6 +132,35 @@ TEST_F(ClientApi, StatsAndByteCountersMove) {
   EXPECT_GT(c.bytes_received(), 0u);
   c.reset_stats();
   EXPECT_EQ(c.stats().diffs_collected, 0u);
+}
+
+TEST_F(ClientApi, ResetStatsWhileAnotherThreadReads) {
+  // Read critical sections bump counters under the client's lock;
+  // reset_stats() and stats() must take it too (the TSan lane checks).
+  Client c(factory_);
+  ClientSegment* seg = c.open_segment("alpha/reset-race");
+  {
+    WriteLock lock(c, seg);
+    c.malloc_block(seg, c.types().primitive(PrimitiveKind::kInt32));
+  }
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> sections{0};
+  std::thread reader([&] {
+    while (!stop.load()) {
+      ReadLock lock(c, seg);
+      sections.fetch_add(1);
+    }
+  });
+  while (sections.load() < 200) {
+    c.reset_stats();
+    (void)c.stats();
+  }
+  stop.store(true);
+  reader.join();
+  c.reset_stats();
+  ClientStats s = c.stats();
+  EXPECT_EQ(s.read_lock_server_calls + s.read_lock_local_hits, 0u);
+  EXPECT_EQ(s.plan_cache_hits + s.lock_cache_hits, 0u);
 }
 
 TEST_F(ClientApi, RaiiGuards) {

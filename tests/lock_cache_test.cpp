@@ -444,6 +444,73 @@ TEST(LockCacheTcp, RevokeRoundTripOverSockets) {
   EXPECT_EQ(sstats.revokes_expired, 0u);
 }
 
+/// Sends each kRevokeAck `delay` late (FaultyChannel never faults acks),
+/// so the revoked holder's next request can overtake its ack.
+class LateAckChannel final : public ClientChannel {
+ public:
+  LateAckChannel(std::shared_ptr<ClientChannel> inner, milliseconds delay)
+      : inner_(std::move(inner)), delay_(delay) {}
+
+  using ClientChannel::call;
+  Frame call(MsgType type, Buffer& payload) override {
+    if (type == MsgType::kRevokeAck) std::this_thread::sleep_for(delay_);
+    return inner_->call(type, payload);
+  }
+  void set_notify_handler(std::function<void(const Frame&)> fn) override {
+    inner_->set_notify_handler(std::move(fn));
+  }
+  uint64_t bytes_sent() const override { return inner_->bytes_sent(); }
+  uint64_t bytes_received() const override {
+    return inner_->bytes_received();
+  }
+  void shutdown() noexcept override { inner_->shutdown(); }
+
+ private:
+  std::shared_ptr<ClientChannel> inner_;
+  milliseconds delay_;
+};
+
+TEST(LockCacheTcp, HolderAskingToWriteSurrendersItsCachedLock) {
+  // B holds a cached read lock and asks for the write lock while A's
+  // write_lock is draining it. B's kRevokeAck, sent late, queues behind
+  // B's blocked kAcquireWrite on B's connection, so the server must take
+  // that acquire as B's surrender instead of waiting out the deadline.
+  server::SegmentServer core;  // revoke_deadline_ms = 2'000
+  TcpServer server(core, 0);
+  const uint16_t port = server.port();
+  const std::string url = "host/tcp-self-drain";
+
+  Client a([port](const std::string&) {
+    return std::make_shared<TcpClientChannel>(port);
+  });
+  ClientSegment* as = a.open_segment(url);
+  seed_segment(a, as, 1);
+  Client b([port](const std::string&) {
+    return std::make_shared<LateAckChannel>(
+        std::make_shared<TcpClientChannel>(port), milliseconds(300));
+  });
+  ClientSegment* bs = b.open_segment(url);
+  EXPECT_EQ(read_value(b, bs, url), 1);  // B now holds a cached read lock
+
+  milliseconds waited{0};
+  std::thread writer_a([&] {
+    auto start = steady_clock::now();
+    a.write_lock(as);
+    waited =
+        std::chrono::duration_cast<milliseconds>(steady_clock::now() - start);
+    a.write_unlock(as);
+  });
+  while (core.stats().revokes_sent == 0) {
+    std::this_thread::sleep_for(milliseconds(1));
+  }
+  seed_segment(b, bs, 2);  // B's kAcquireWrite overtakes its own ack
+  writer_a.join();
+
+  EXPECT_LT(waited.count(), 1'000) << "A waited out the revocation deadline";
+  EXPECT_EQ(core.stats().revokes_expired, 0u);
+  EXPECT_EQ(read_value(a, as, url), 2);
+}
+
 TEST(LockCacheTcp, CallInsideNotifyHandlerDoesNotDeadlock) {
   server::SegmentServer core;
   TcpServer server(core, 0);

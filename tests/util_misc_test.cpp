@@ -1,9 +1,10 @@
 // Tests for the small util pieces: errors, logging levels, RNG determinism,
-// seqlock reader/writer protocol.
+// seqlock reader/writer protocol, generated counter tables.
 #include <gtest/gtest.h>
 
 #include <thread>
 
+#include "util/counters.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
 #include "util/rand.hpp"
@@ -96,6 +97,54 @@ TEST(SeqLock, ReaderSeesConsistentPairs) {
   }
   stop = true;
   writer.join();
+}
+
+#define IW_SAMPLE_COUNTERS(X)                  \
+  X(alpha)                                     \
+  X(beta)  /* a doc comment inside the list */ \
+  X(gamma)                                     \
+  X(delta)
+
+struct SampleStats {
+  IW_COUNTER_FIELDS(IW_SAMPLE_COUNTERS)
+};
+
+struct SampleCounters {
+  IW_ATOMIC_COUNTERS(SampleStats, IW_SAMPLE_COUNTERS)
+};
+
+TEST(Counters, SnapshotCopiesAndResetZeroesEveryCounter) {
+  SampleCounters c;
+  c.alpha.store(1);
+  c.beta.store(2);
+  c.gamma.store(3);
+  c.delta.store(4);
+
+  SampleStats s = c.snapshot();
+  EXPECT_EQ(s.alpha, 1u);
+  EXPECT_EQ(s.beta, 2u);
+  EXPECT_EQ(s.gamma, 3u);
+  EXPECT_EQ(s.delta, 4u);
+
+  // load_into fills only the list's fields of a struct that splices it.
+  struct Spliced {
+    uint64_t before = 7;
+    IW_COUNTER_FIELDS(IW_SAMPLE_COUNTERS)
+    uint64_t after = 9;
+  } w;
+  c.load_into(w);
+  EXPECT_EQ(w.before, 7u);
+  EXPECT_EQ(w.alpha, 1u);
+  EXPECT_EQ(w.beta, 2u);
+  EXPECT_EQ(w.gamma, 3u);
+  EXPECT_EQ(w.delta, 4u);
+  EXPECT_EQ(w.after, 9u);
+
+  c.reset();
+  EXPECT_EQ(c.alpha.load(), 0u);
+  EXPECT_EQ(c.beta.load(), 0u);
+  EXPECT_EQ(c.gamma.load(), 0u);
+  EXPECT_EQ(c.delta.load(), 0u);
 }
 
 }  // namespace

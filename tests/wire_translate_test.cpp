@@ -315,6 +315,11 @@ struct PlatformPair {
   const char* src;
   const char* dst;
 };
+// Without this, gtest prints the two string pointers as raw bytes, so the
+// discovered test names change with every build and every load address.
+void PrintTo(const PlatformPair& p, std::ostream* os) {
+  *os << p.src << "->" << p.dst;
+}
 class CrossPlatformRoundTrip : public ::testing::TestWithParam<PlatformPair> {};
 
 Platform by_name(const std::string& name) {
