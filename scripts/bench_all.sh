@@ -12,8 +12,9 @@
 # pipeline modes of the same binaries:
 #
 #   commit_durability --payload      — journal bytes raw vs stored, commit
-#                                      latency, incremental-checkpoint
-#                                      counts, and recover() time per
+#                                      latency, snapshot-checkpoint
+#                                      count, and recover() time (snapshot
+#                                      load + journal-tail replay) per
 #                                      {compression x compressibility} cell
 #   server_scaling --update-bytes    — update bytes raw vs on-the-wire in
 #                                      both directions for a negotiated

@@ -15,8 +15,8 @@
 # client's stats while another thread runs read critical sections.
 # IW_COMPRESS=1 chaos/lease lanes run under both sanitizers as well: the
 # section envelope, the LZ codec's pointer arithmetic, and compressed
-# journal/chain recovery (the UBSan lane includes the restart seeds) are
-# raced and bounds-checked the same way.
+# journal recovery (the UBSan lane includes the restart seeds) are raced
+# and bounds-checked the same way.
 # The replication chaos suite (WAL streaming, directory failover, epoch
 # fencing, and the fork+SIGKILL zero-lost-acks matrix) runs under UBSan,
 # and its thread-safe subset plus a real-sockets failover lane under TSan —
@@ -83,8 +83,8 @@ echo "== chaos suite with cached reader locks under UBSan =="
 IW_LOCK_CACHE=1 UBSAN_OPTIONS=halt_on_error=1 \
     "$UBSAN_BUILD"/tests/chaos_test --gtest_filter='Seeds/ChaosTest.*'
 echo "== chaos suite with payload compression under UBSan =="
-# Seeds/* also covers the restart suite, so compressed journals and
-# incremental-checkpoint folds recover under the sanitizer too.
+# Seeds/* also covers the restart suite, so snapshot load plus compressed
+# journal-tail replay recovers under the sanitizer too.
 IW_COMPRESS=1 UBSAN_OPTIONS=halt_on_error=1 \
     "$UBSAN_BUILD"/tests/chaos_test --gtest_filter='Seeds/*'
 IW_COMPRESS=1 UBSAN_OPTIONS=halt_on_error=1 \

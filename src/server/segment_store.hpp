@@ -163,16 +163,16 @@ class SegmentStore {
   std::shared_ptr<const std::vector<uint8_t>> collect_diff(
       uint32_t from_version);
 
-  /// Writes the history tables an incremental checkpoint needs to make a
-  /// fold version-exact: the original created_version of every live block
+  /// Writes the history tables a WAL-tail sync needs to make a fold
+  /// version-exact: the original created_version of every live block
   /// newer than `from_version`, and every free since `from_version` —
   /// including blocks created *and* freed inside the window, which the
-  /// diff omits entirely. Without these a recovered server would misdate
+  /// diff omits entirely. Without these a synced replica would misdate
   /// creations at the fold's landing version and suppress frees for
   /// clients whose cached version lies inside the folded window.
   void collect_fold_history(uint32_t from_version, Buffer& out) const;
 
-  /// Applies one incremental-checkpoint record body: the tables written by
+  /// Applies one WAL-tail sync body: the tables written by
   /// collect_fold_history followed by a collect_diff(from_version) payload.
   /// Restores exact per-block creation dates and free history, then lands
   /// on `to_version` even when the window's only changes were create+free
@@ -192,7 +192,7 @@ class SegmentStore {
     }
   }
 
-  // --- checkpoint support (server/checkpoint.cpp) ---
+  // --- checkpoint and snapshot-sync support (server/server.cpp) ---
   /// Serializes the full store state (not a diff) into `out`.
   void serialize(Buffer& out) const;
   /// Reconstructs a store from serialize() output.

@@ -6,7 +6,6 @@
 #include <fstream>
 #include <vector>
 
-#include "server/checkpoint.hpp"
 #include "util/endian.hpp"
 #include "util/fsync.hpp"
 #include "util/logging.hpp"
@@ -847,10 +846,7 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
       // The writer itself is now current.
       seg_session(entry, session).types_sent = entry.store->type_count();
 
-      if (options_.checkpoint_every > 0 &&
-          ++entry.versions_since_checkpoint >= options_.checkpoint_every) {
-        checkpoint_segment_locked(entry);
-      }
+      maybe_checkpoint_locked(entry);
       resp.type = MsgType::kReleaseWriteResp;
       payload.append_u32(new_version);
       break;
@@ -1115,12 +1111,6 @@ void SegmentServer::apply_replicated_locked(SegmentEntry& entry,
     }
     case WalRecordType::kSegmentDestroy:
       entry.store = std::make_unique<SegmentStore>(name, options_.store);
-      // The reborn segment shares nothing with the old checkpoint chain;
-      // the next checkpoint must start from a fresh full snapshot.
-      entry.checkpoint_base_version = 0;
-      entry.last_checkpoint_version = 0;
-      entry.checkpoint_chain_len = 0;
-      entry.checkpoint_types_recorded = 0;
       mutated = true;
       break;
   }
@@ -1131,6 +1121,9 @@ void SegmentServer::apply_replicated_locked(SegmentEntry& entry,
   // primary promises its client. The encoded bytes go in verbatim —
   // compression was the primary's decision and is inherited, never redone.
   if (entry.wal != nullptr) entry.wal->append(type, body, {}, compressed);
+  // A replica journals every replicated commit, so it checkpoints on the
+  // same period as a primary; otherwise its journal grows without bound.
+  if (type == WalRecordType::kCommit) maybe_checkpoint_locked(entry);
 }
 
 void SegmentServer::set_node_identity(std::string id, std::string address) {
@@ -1183,10 +1176,9 @@ Frame SegmentServer::serve_sync_request(SessionId session, BufReader& in) {
     Buffer tail;
     if (have_lineage == entry.lineage_epoch && have_version <= version &&
         have_types <= types) {
-      // Same lineage and not ahead of us: the requester's gap is exactly
-      // what an incremental checkpoint stores — the type graphs registered
-      // since, the fold history, one diff. Reuse that encoding as the sync
-      // tail; an equal-position requester gets an empty body.
+      // Same lineage and not ahead of us: the requester's gap is the type
+      // graphs registered since, the fold history and one diff; an
+      // equal-position requester gets an empty body.
       try {
         if (have_version != version || have_types != types) {
           tail.append_u32(types - have_types);
@@ -1258,14 +1250,9 @@ void SegmentServer::seal_backfill_locked(SegmentEntry& entry, uint32_t epoch) {
   entry.repl_epoch = std::max(entry.repl_epoch, epoch);
   entry.lineage_epoch = epoch;
   // The journal may carry a divergent unacked suffix from this server's
-  // deposed incarnation; the state just installed supersedes it, so a full
-  // checkpoint followed by journal truncation retires it for good.
-  if (!options_.checkpoint_dir.empty()) checkpoint_full_locked(entry);
-  if (entry.wal != nullptr) {
-    entry.wal->truncate_after_checkpoint();
-    journal_lineage_locked(entry);
-  }
-  entry.versions_since_checkpoint = 0;
+  // deposed incarnation; the state just installed supersedes it, so the
+  // checkpoint's journal truncation retires it for good.
+  checkpoint_segment_locked(entry);
 }
 
 uint32_t SegmentServer::backfill_segment(const std::string& name,
@@ -1363,12 +1350,6 @@ uint32_t SegmentServer::backfill_segment(const std::string& name,
         }
       }
       if (changed || epoch != entry->lineage_epoch) {
-        // The fold moved the store past the recorded checkpoint chain
-        // positions; seal over a fresh full base.
-        entry->checkpoint_base_version = 0;
-        entry->last_checkpoint_version = 0;
-        entry->checkpoint_chain_len = 0;
-        entry->checkpoint_types_recorded = 0;
         seal_backfill_locked(*entry, epoch);
       }
       version = entry->store->version();
@@ -1389,10 +1370,6 @@ uint32_t SegmentServer::backfill_segment(const std::string& name,
     }
     BufReader sin(snapshot.data(), snapshot.size());
     entry->store = SegmentStore::deserialize(name, options_.store, sin);
-    entry->checkpoint_base_version = 0;
-    entry->last_checkpoint_version = 0;
-    entry->checkpoint_chain_len = 0;
-    entry->checkpoint_types_recorded = 0;
     seal_backfill_locked(*entry, epoch);
     version = entry->store->version();
   }
@@ -1443,102 +1420,35 @@ uint64_t SegmentServer::sweep_expired_grants() {
   return swept;
 }
 
-std::string SegmentServer::chain_file_path(const std::string& name) const {
-  namespace fs = std::filesystem;
-  return (fs::path(options_.checkpoint_dir) / encode_file_name(name, ".iwinc"))
-      .string();
-}
-
-void SegmentServer::checkpoint_full_locked(SegmentEntry& entry) {
+void SegmentServer::checkpoint_segment_locked(SegmentEntry& entry) {
+  if (options_.checkpoint_dir.empty()) return;
   Buffer out;
   out.append_u32(kCheckpointMagic);
   out.append_lp_string(entry.store->name());
   entry.store->serialize(out);
-
   namespace fs = std::filesystem;
-  fs::path dir(options_.checkpoint_dir);
-  fs::path final_path = dir / encode_file_name(entry.store->name(), ".iwseg");
+  fs::path final_path = fs::path(options_.checkpoint_dir) /
+                        encode_file_name(entry.store->name(), ".iwseg");
   // tmp + fdatasync + rename + parent fsync: the snapshot is durable before
   // it becomes visible under its final name.
   write_file_durable(final_path.string(), {out.data(), out.size()});
-  // The old chain extended the *previous* snapshot. Recovery would reject
-  // it anyway (base mismatch on the first record), so a crash between the
-  // rename above and this unlink is benign; removing it just reclaims the
-  // space and keeps the stale-chain path off the common recovery.
-  std::error_code ec;
-  if (fs::remove(chain_file_path(entry.store->name()), ec)) {
-    fsync_parent_dir(final_path.string());
-  }
-  entry.checkpoint_base_version = entry.store->version();
-  entry.last_checkpoint_version = entry.store->version();
-  entry.checkpoint_chain_len = 0;
-  entry.checkpoint_types_recorded = entry.store->type_count();
   stats_.checkpoints_written.fetch_add(1, std::memory_order_relaxed);
-}
-
-void SegmentServer::checkpoint_segment_locked(SegmentEntry& entry) {
-  if (options_.checkpoint_dir.empty()) return;
-  const uint32_t version = entry.store->version();
-  const uint32_t types = entry.store->type_count();
-  // A delta record only makes sense when this incarnation wrote the base
-  // it extends, the chain is under its rewrite bound, and the store has
-  // moved forward (a destroy/recover resets the chain state instead).
-  const bool chain_ok = options_.checkpoint_chain_limit != 0 &&
-                        entry.checkpoint_base_version != 0 &&
-                        entry.checkpoint_chain_len <
-                            options_.checkpoint_chain_limit &&
-                        version >= entry.last_checkpoint_version &&
-                        types >= entry.checkpoint_types_recorded;
-  if (chain_ok && version == entry.last_checkpoint_version &&
-      types == entry.checkpoint_types_recorded) {
-    // Nothing new since the last checkpoint record: just retire the
-    // journal, which the existing base + chain already covers.
-    if (entry.wal != nullptr) {
-      entry.wal->truncate_after_checkpoint();
-      journal_lineage_locked(entry);
-    }
-    entry.versions_since_checkpoint = 0;
-    return;
-  }
-  if (chain_ok) {
-    // Delta record: only what changed since the last checkpoint — the type
-    // graphs registered since, and the diff from the last covered version
-    // (the store tracks dirty subblocks, so this is proportional to what
-    // was touched, not to the segment).
-    SegmentStore& store = *entry.store;
-    Buffer sections;
-    sections.append_u32(types - entry.checkpoint_types_recorded);
-    for (uint32_t serial = entry.checkpoint_types_recorded + 1;
-         serial <= types; ++serial) {
-      auto graph = store.type_graph(serial);
-      sections.append_u32(serial);
-      sections.append_u32(static_cast<uint32_t>(graph.size()));
-      sections.append(graph.data(), graph.size());
-    }
-    store.collect_fold_history(entry.last_checkpoint_version, sections);
-    auto diff = store.collect_diff(entry.last_checkpoint_version);
-    sections.append(diff->data(), diff->size());
-    append_chain_record(chain_file_path(store.name()),
-                        entry.checkpoint_base_version,
-                        entry.last_checkpoint_version, version,
-                        sections.span(), options_.compress_payloads);
-    entry.last_checkpoint_version = version;
-    entry.checkpoint_types_recorded = types;
-    ++entry.checkpoint_chain_len;
-    stats_.checkpoints_incremental.fetch_add(1, std::memory_order_relaxed);
-    stats_.checkpoints_written.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    checkpoint_full_locked(entry);
-  }
-  // Only once the checkpoint is durably in place may the journal records it
+  // Only once the snapshot is durably in place may the journal records it
   // supersedes be discarded. A crash between the two is benign: replay
-  // skips records at or below the covered version. The lineage marker is
-  // not covered by the snapshot, so it is re-journaled after the cut.
+  // skips records at or below the snapshot's version. The lineage marker
+  // is not in the snapshot, so it is re-journaled after the cut.
   if (entry.wal != nullptr) {
     entry.wal->truncate_after_checkpoint();
     journal_lineage_locked(entry);
   }
   entry.versions_since_checkpoint = 0;
+}
+
+void SegmentServer::maybe_checkpoint_locked(SegmentEntry& entry) {
+  if (options_.checkpoint_every > 0 &&
+      ++entry.versions_since_checkpoint >= options_.checkpoint_every) {
+    checkpoint_segment_locked(entry);
+  }
 }
 
 void SegmentServer::checkpoint() {
@@ -1619,97 +1529,6 @@ uint64_t SegmentServer::replay_wal_records(
   return applied_end;
 }
 
-void SegmentServer::fold_checkpoint_chain(
-    const std::string& name, std::unique_ptr<SegmentStore>& store) {
-  namespace fs = std::filesystem;
-  const std::string path = chain_file_path(name);
-  ChainScan scan = scan_chain(path);
-  if (scan.missing) return;
-  const uint32_t base = store->version();
-  uint64_t folded = 0;
-  bool stale = false;
-  bool corrupt = scan.torn;
-  std::string why = corrupt ? "torn or corrupt record framing" : "";
-  for (const ChainRecord& rec : scan.records) {
-    if (rec.base_version != base) {
-      if (folded == 0 && !corrupt) {
-        // The whole chain extends an older snapshot than the one we
-        // loaded: the residue of a crash between a full rewrite landing
-        // and the old chain's unlink. Expected, not corruption.
-        stale = true;
-      } else {
-        corrupt = true;
-        why = "base version changed mid-chain (v" +
-              std::to_string(rec.base_version) + " after v" +
-              std::to_string(base) + ")";
-      }
-      break;
-    }
-    if (rec.from_version != store->version()) {
-      corrupt = true;
-      why = "chain gap (record from v" + std::to_string(rec.from_version) +
-            ", store at v" + std::to_string(store->version()) + ")";
-      break;
-    }
-    try {
-      BufReader in(rec.sections.data(), rec.sections.size());
-      uint32_t new_types = in.read_u32();
-      for (uint32_t i = 0; i < new_types; ++i) {
-        uint32_t serial = in.read_u32();
-        uint32_t len = in.read_u32();
-        auto graph = in.read_bytes(len);
-        if (serial <= store->type_count()) continue;
-        uint32_t got = store->register_type(graph);
-        if (got != serial) {
-          throw Error(ErrorCode::kProtocol,
-                      "type serial gap in chain (record " +
-                          std::to_string(serial) + ", store assigned " +
-                          std::to_string(got) + ")");
-        }
-      }
-      uint32_t got = store->apply_fold(rec.to_version, in);
-      if (got != rec.to_version) {
-        throw Error(ErrorCode::kProtocol,
-                    "chain version gap (record to v" +
-                        std::to_string(rec.to_version) +
-                        ", store reached v" + std::to_string(got) + ")");
-      }
-    } catch (const std::exception& e) {
-      corrupt = true;
-      why = e.what();
-      break;
-    }
-    ++folded;
-  }
-  if (folded != 0) {
-    stats_.checkpoint_chain_folds.fetch_add(folded, std::memory_order_relaxed);
-    IW_LOG(kInfo) << "folded " << folded << " incremental checkpoints onto "
-                  << name << " (v" << base << " -> v" << store->version()
-                  << ")";
-  }
-  if (stale) {
-    std::error_code ec;
-    fs::remove(path, ec);
-    IW_LOG(kInfo) << "removed stale checkpoint chain for " << name
-                  << " (chain base v" << scan.records.front().base_version
-                  << ", snapshot v" << base << ")";
-    return;
-  }
-  if (corrupt) {
-    // Keep the good prefix we folded and set the rest aside, exactly like
-    // a quarantined snapshot; the journal replay that follows stops at the
-    // resulting version gap, so recovery lands on the last good fold.
-    fs::path quarantine = fs::path(path);
-    quarantine += ".corrupt";
-    std::error_code ec;
-    fs::rename(path, quarantine, ec);
-    IW_LOG(kWarn) << "quarantining checkpoint chain " << path << " after "
-                  << folded << " records (" << why << ")"
-                  << (ec ? "; rename failed: " + ec.message() : "");
-    stats_.checkpoints_quarantined.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
 void SegmentServer::recover() {
   if (options_.checkpoint_dir.empty()) return;
   namespace fs = std::filesystem;
@@ -1718,14 +1537,21 @@ void SegmentServer::recover() {
   // the directory iteration.
   std::vector<fs::path> snapshots;
   std::vector<fs::path> journals;
-  std::vector<fs::path> chains;
   for (const auto& dirent : fs::directory_iterator(options_.checkpoint_dir)) {
     if (dirent.path().extension() == ".iwseg") {
       snapshots.push_back(dirent.path());
     } else if (dirent.path().extension() == ".iwlog") {
       journals.push_back(dirent.path());
     } else if (dirent.path().extension() == ".iwinc") {
-      chains.push_back(dirent.path());
+      // An incremental checkpoint chain from an older release. Its deltas
+      // were cut from the journal as they landed, so its commits may be in
+      // no other file: replaying past it would stop at the version gap and
+      // silently drop acknowledged commits. Refuse before touching anything.
+      throw Error(ErrorCode::kUnimplemented,
+                  "checkpoint directory holds incremental checkpoint chain " +
+                      dirent.path().string() +
+                      ", which this release cannot read; recover and "
+                      "checkpoint it once with the release that wrote it");
     }
   }
 
@@ -1757,9 +1583,6 @@ void SegmentServer::recover() {
       stats_.checkpoints_quarantined.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
-    // Fold the segment's incremental chain (if any) onto the snapshot
-    // before the journal tail replays: base + chain + tail, in that order.
-    fold_checkpoint_chain(name, store);
     auto it = segments_.find(name);
     if (it != segments_.end()) {
       // Replace the store in place: entry addresses must stay stable.
@@ -1767,33 +1590,12 @@ void SegmentServer::recover() {
       it->second->store = std::move(store);
       it->second->versions_since_checkpoint = 0;
       it->second->wal.reset();  // reopened against the journal below
-      // Recovery never resumes an inherited chain; the next checkpoint
-      // lays down a fresh full base.
-      it->second->checkpoint_base_version = 0;
-      it->second->last_checkpoint_version = 0;
-      it->second->checkpoint_chain_len = 0;
-      it->second->checkpoint_types_recorded = 0;
     } else {
       auto entry = std::make_unique<SegmentEntry>();
       entry->store = std::move(store);
       segments_.emplace(std::move(name), std::move(entry));
     }
     IW_LOG(kInfo) << "recovered segment " << path.filename().string();
-  }
-
-  // A chain whose base snapshot is missing or was quarantined cannot be
-  // applied to anything; set it aside with the same discipline.
-  for (const fs::path& path : chains) {
-    std::string name = decode_file_name(path.stem().string());
-    if (segments_.count(name) != 0 || !fs::exists(path)) continue;
-    fs::path quarantine = path;
-    quarantine += ".corrupt";
-    std::error_code ec;
-    fs::rename(path, quarantine, ec);
-    IW_LOG(kWarn) << "quarantining orphan checkpoint chain " << path
-                  << " (no base snapshot)"
-                  << (ec ? "; rename failed: " + ec.message() : "");
-    stats_.checkpoints_quarantined.fetch_add(1, std::memory_order_relaxed);
   }
 
   // Pass 2: replay each journal's tail on top of its snapshot (or from

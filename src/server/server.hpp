@@ -95,14 +95,6 @@ class SegmentServer : public ServerCore {
     /// ratio pays. The IW_COMPRESS environment variable overrides this at
     /// construction ("0" disables, anything else enables).
     bool compress_payloads = true;
-    /// Incremental checkpoints: after `checkpoint_chain_limit` delta
-    /// records have accumulated in a segment's `.iwinc` chain, the next
-    /// checkpoint rewrites the full `.iwseg` snapshot and resets the chain
-    /// (bounding recovery to one snapshot load plus that many folds). The
-    /// first checkpoint of a segment's life is always a full rewrite. 0
-    /// disables incremental checkpoints — every checkpoint is a full
-    /// rewrite, the pre-chain behavior.
-    uint32_t checkpoint_chain_limit = 8;
     /// Store tuning (diff cache, prediction, subblock size).
     SegmentStore::Options store;
   };
@@ -124,9 +116,7 @@ class SegmentServer : public ServerCore {
   X(wal_replayed_records)    /* records applied by recover() */           \
   X(wal_truncated_bytes)     /* torn-tail bytes cut at recover */         \
   X(recoveries_completed)    /* recover() invocations done */             \
-  X(checkpoints_quarantined) /* corrupt .iwseg/.iwinc set aside */        \
-  X(checkpoints_incremental) /* delta records appended */                 \
-  X(checkpoint_chain_folds)  /* delta records folded at recover */        \
+  X(checkpoints_quarantined) /* corrupt .iwseg snapshots set aside */     \
   /* Payload pipeline: what the section envelope and the record */        \
   /* envelope saved, measured where the bytes would otherwise be paid. */ \
   X(updates_compressed)      /* update diffs sent compressed */           \
@@ -172,8 +162,12 @@ class SegmentServer : public ServerCore {
   /// Safe to call concurrently with request handling; each segment is
   /// checkpointed under its own lock.
   void checkpoint();
-  /// Loads all segments found in the checkpoint directory. Call before
-  /// serving; existing in-memory segments with the same name are replaced.
+  /// Loads all segments found in the checkpoint directory: each `.iwseg`
+  /// snapshot, then its `.iwlog` journal tail. Call before serving;
+  /// existing in-memory segments with the same name are replaced. Throws
+  /// Error(kUnimplemented), touching no file, when the directory holds an
+  /// incremental checkpoint chain (`.iwinc`) from an older release: its
+  /// commits may be in no other file.
   void recover();
 
   /// Drops cached read grants older than cached_grant_ttl_ms across every
@@ -285,18 +279,6 @@ class SegmentServer : public ServerCore {
     /// WalRecordType::kEpochAdopt.
     uint32_t lineage_epoch = 1;
     uint32_t versions_since_checkpoint = 0;
-    /// Incremental-checkpoint chain state (see checkpoint.hpp). The base is
-    /// the version of the last full `.iwseg` this incarnation wrote (0 =
-    /// none yet, so the next checkpoint must be a full rewrite — also the
-    /// state after recover(), which never resumes an inherited chain).
-    uint32_t checkpoint_base_version = 0;
-    /// Version covered by base + chain; the next delta record diffs from
-    /// here. Meaningful only when checkpoint_base_version != 0.
-    uint32_t last_checkpoint_version = 0;
-    /// Delta records in the live `.iwinc`; a full rewrite resets it.
-    uint32_t checkpoint_chain_len = 0;
-    /// Type-table prefix already captured by base + chain.
-    uint32_t checkpoint_types_recorded = 0;
     /// Append-only diff journal; null when persistence is disabled. Guarded
     /// by `mu` like the store, so append-before-ack and
     /// truncate-on-checkpoint serialize naturally with commits.
@@ -347,14 +329,13 @@ class SegmentServer : public ServerCore {
                                     const std::string& name,
                                     SessionId session,
                                     std::unique_lock<std::mutex>& el);
-  /// Checkpoints one segment: a delta record onto its `.iwinc` chain when
-  /// a base exists and the chain is under the limit, a full `.iwseg`
-  /// rewrite otherwise. Either way the journal is truncated after the
-  /// checkpoint lands durably. Caller holds entry.mu.
+  /// Checkpoints one segment: writes the full `.iwseg` snapshot durably,
+  /// then truncates the journal it supersedes and re-journals the lineage.
+  /// No-op without a checkpoint directory. Caller holds entry.mu.
   void checkpoint_segment_locked(SegmentEntry& entry);
-  /// The full-rewrite half: durable snapshot, chain file removed, chain
-  /// state reset. Caller holds entry.mu.
-  void checkpoint_full_locked(SegmentEntry& entry);
+  /// Counts one commit toward `checkpoint_every` and checkpoints the
+  /// segment when the period is reached. Caller holds entry.mu.
+  void maybe_checkpoint_locked(SegmentEntry& entry);
   /// Applies one record streamed by a primary (kWalAppend) to the store
   /// and journals it — the replica half of journal-before-ack. Idempotent:
   /// a commit at or below the store version (a re-sent batch after a link
@@ -377,9 +358,10 @@ class SegmentServer : public ServerCore {
   /// applied history, journaling a kEpochAdopt record (local-only) so the
   /// lineage survives restart. Caller holds entry.mu.
   void adopt_epoch_locked(SegmentEntry& entry, uint32_t epoch);
-  /// Makes a freshly installed/folded backfill durable: full checkpoint,
-  /// journal truncated to it (discarding any divergent unacked suffix from
-  /// a deposed incarnation), lineage re-journaled. Caller holds entry.mu.
+  /// Makes a freshly installed/folded backfill durable: adopts `epoch` as
+  /// the lineage, then checkpoints, which truncates the journal (discarding
+  /// any divergent unacked suffix from a deposed incarnation) and
+  /// re-journals the lineage. Caller holds entry.mu.
   void seal_backfill_locked(SegmentEntry& entry, uint32_t epoch);
   /// Re-appends the lineage marker to the journal (no-op at lineage 1 or
   /// without a journal) — called after every journal truncation/reopen so
@@ -391,14 +373,6 @@ class SegmentServer : public ServerCore {
   bool wal_on() const noexcept;
   WriteAheadLog::Options wal_options();
   std::string wal_file_path(const std::string& name) const;
-  std::string chain_file_path(const std::string& name) const;
-  /// Folds a segment's `.iwinc` chain onto its freshly loaded snapshot
-  /// during recover(): applies every valid delta record whose base matches
-  /// the snapshot, removes a stale chain (base mismatch on the first
-  /// record — the residue of a crash between a full rewrite and the old
-  /// chain's unlink), and quarantines the tail past a mid-chain violation.
-  void fold_checkpoint_chain(const std::string& name,
-                             std::unique_ptr<SegmentStore>& store);
   /// Opens a brand-new journal for `entry` (discarding any stale log file
   /// left by an earlier incarnation) and records the segment's birth.
   void open_fresh_wal(SegmentEntry& entry, const std::string& name);

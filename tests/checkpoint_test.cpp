@@ -2,12 +2,15 @@
 // checkpointing, and clients resuming against a recovered server.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "interweave/interweave.hpp"
-#include "server/checkpoint.hpp"
 #include "wire/diff.hpp"
 
 namespace iw {
@@ -301,9 +304,9 @@ TEST_F(Checkpoint, SegmentNamesAreEscapedInFileNames) {
   EXPECT_EQ(revived.segment_version("some.host/deep/path/segment"), 2u);
 }
 
-// ------------------------------------------- incremental checkpoint chains
+// ------------------------------------------------ snapshot + journal tail
 
-TEST_F(Checkpoint, IncrementalCheckpointsFoldOnRecovery) {
+TEST_F(Checkpoint, SnapshotPlusJournalTailRecovers) {
   auto options = server_options();
   uint32_t final_version = 0;
   {
@@ -317,28 +320,28 @@ TEST_F(Checkpoint, IncrementalCheckpointsFoldOnRecovery) {
     c.write_lock(seg);
     auto* data = static_cast<int32_t*>(c.malloc_block(seg, arr, "d"));
     c.write_unlock(seg);  // v2
-    server.checkpoint();  // first checkpoint: always a full snapshot
+    server.checkpoint();
     for (int round = 1; round <= 3; ++round) {
       c.write_lock(seg);
       data[round] = round * 11;
       c.write_unlock(seg);
-      server.checkpoint();  // delta record, journal truncated each time
+      server.checkpoint();  // full snapshot, journal truncated each time
     }
     // One more commit lives only in the journal — the crash window between
-    // incremental checkpoint writes.
+    // checkpoints.
     c.write_lock(seg);
     data[10] = 77;
     c.write_unlock(seg);
     final_version = seg->version();
-    EXPECT_EQ(server.stats().checkpoints_incremental, 3u);
     EXPECT_EQ(server.stats().checkpoints_written, 4u);
   }
-  ASSERT_TRUE(fs::exists(dir_ / "host%2Finc.iwinc"));
+  for (const auto& e : fs::directory_iterator(dir_)) {
+    EXPECT_NE(e.path().extension(), ".iwinc") << e.path();
+  }
 
   server::SegmentServer revived(server_options());
   revived.recover();
   EXPECT_EQ(revived.segment_version("host/inc"), final_version);
-  EXPECT_EQ(revived.stats().checkpoint_chain_folds, 3u);
   EXPECT_EQ(revived.stats().checkpoints_quarantined, 0u);
   EXPECT_GT(revived.stats().wal_replayed_records, 0u);
 
@@ -355,106 +358,62 @@ TEST_F(Checkpoint, IncrementalCheckpointsFoldOnRecovery) {
   c.read_unlock(seg);
 }
 
-TEST_F(Checkpoint, FullRewriteBoundsTheChain) {
-  auto options = server_options();
-  options.checkpoint_chain_limit = 2;
-  server::SegmentServer server(options);
-  Client c([&](const std::string&) {
-    return std::make_shared<InProcChannel>(server);
-  });
-  const TypeDescriptor* arr =
-      c.types().array_of(c.types().primitive(PrimitiveKind::kInt32), 16);
-  ClientSegment* seg = c.open_segment("host/bound");
-  c.write_lock(seg);
-  auto* data = static_cast<int32_t*>(c.malloc_block(seg, arr, "d"));
-  c.write_unlock(seg);
-  server.checkpoint();  // full
-  const fs::path chain = dir_ / "host%2Fbound.iwinc";
-  for (int round = 1; round <= 2; ++round) {
-    c.write_lock(seg);
-    data[0] = round;
-    c.write_unlock(seg);
-    server.checkpoint();  // delta records while under the limit
-  }
-  ASSERT_TRUE(fs::exists(chain));
-  EXPECT_EQ(server.stats().checkpoints_incremental, 2u);
-  c.write_lock(seg);
-  data[0] = 3;
-  c.write_unlock(seg);
-  server.checkpoint();  // limit hit: full rewrite deletes the chain
-  EXPECT_FALSE(fs::exists(chain));
-  EXPECT_EQ(server.stats().checkpoints_incremental, 2u);
-
-  server::SegmentServer revived(server_options());
-  revived.recover();
-  EXPECT_EQ(revived.stats().checkpoint_chain_folds, 0u);
-  EXPECT_EQ(revived.segment_version("host/bound"), 5u);
-}
-
-TEST_F(Checkpoint, CorruptMidChainRecordFallsBackToLastGoodFold) {
-  auto options = server_options();
-  uint32_t good_version = 0;
+TEST_F(Checkpoint, LeftoverChainFileRefusesRecovery) {
+  // An older release kept incremental checkpoint chains (`.iwinc`) and cut
+  // the journal after each delta, so a chain's commits may be in no other
+  // file. Recovery must refuse such a directory, naming the file, rather
+  // than replay past it and drop acknowledged commits.
   {
-    server::SegmentServer server(options);
+    server::SegmentServer server(server_options());
     Client c([&](const std::string&) {
       return std::make_shared<InProcChannel>(server);
     });
     const TypeDescriptor* arr =
-        c.types().array_of(c.types().primitive(PrimitiveKind::kInt32), 32);
-    ClientSegment* seg = c.open_segment("host/midrot");
+        c.types().array_of(c.types().primitive(PrimitiveKind::kInt32), 8);
+    ClientSegment* seg = c.open_segment("host/old");
     c.write_lock(seg);
-    auto* data = static_cast<int32_t*>(c.malloc_block(seg, arr, "d"));
+    c.malloc_block(seg, arr, "d");
     c.write_unlock(seg);
-    server.checkpoint();  // full snapshot
-    for (int round = 1; round <= 3; ++round) {
-      c.write_lock(seg);
-      data[0] = round * 100;
-      c.write_unlock(seg);
-      server.checkpoint();
-      if (round == 1) good_version = seg->version();
-    }
+    server.checkpoint();
   }
-  const fs::path chain = dir_ / "host%2Fmidrot.iwinc";
-  ASSERT_TRUE(fs::exists(chain));
-
-  // Flip a byte inside the *second* delta record's payload. Record sizes
-  // come from the scanner itself, so the test stays valid if framing grows.
-  auto scan = server::scan_chain(chain.string());
-  ASSERT_EQ(scan.records.size(), 3u);
+  const fs::path snapshot = dir_ / "host%2Fold.iwseg";
+  const fs::path journal = dir_ / "host%2Fold.iwlog";
+  const fs::path chain = dir_ / "host%2Fold.iwinc";
+  ASSERT_TRUE(fs::exists(snapshot));
+  ASSERT_TRUE(fs::exists(journal));
   {
-    std::fstream f(chain, std::ios::binary | std::ios::in | std::ios::out);
-    ASSERT_TRUE(f.is_open());
-    f.seekp(static_cast<std::streamoff>(8 + scan.records[0].stored_bytes + 12));
-    f.put(static_cast<char>(0xFF));
+    std::ofstream f(chain, std::ios::binary);
+    f << "IWIC chain residue";
   }
+  const auto listing = [&] {
+    std::vector<std::pair<std::string, uintmax_t>> files;
+    for (const auto& e : fs::directory_iterator(dir_)) {
+      files.emplace_back(e.path().filename().string(), e.file_size());
+    }
+    std::sort(files.begin(), files.end());
+    return files;
+  };
+  const auto before = listing();
 
   server::SegmentServer revived(server_options());
-  revived.recover();  // must not throw
-  // The good prefix folded; the damaged tail is quarantined; the journal
-  // (truncated at the last checkpoint) has nothing to add — recovery lands
-  // on the last good fold.
-  EXPECT_EQ(revived.stats().checkpoints_quarantined, 1u);
-  EXPECT_EQ(revived.stats().checkpoint_chain_folds, 1u);
-  EXPECT_TRUE(fs::exists(dir_ / "host%2Fmidrot.iwinc.corrupt"));
-  EXPECT_FALSE(fs::exists(chain));
-  EXPECT_EQ(revived.segment_version("host/midrot"), good_version);
-
-  Client c([&](const std::string&) {
-    return std::make_shared<InProcChannel>(revived);
-  });
-  ClientSegment* seg = c.open_segment("host/midrot", false);
-  c.read_lock(seg);
-  auto* blk = seg->heap().find_by_name("d");
-  ASSERT_NE(blk, nullptr);
-  EXPECT_EQ(reinterpret_cast<const int32_t*>(blk->data())[0], 100);
-  c.read_unlock(seg);
+  try {
+    revived.recover();
+    FAIL() << "recover() accepted a directory holding " << chain;
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kUnimplemented);
+    EXPECT_NE(std::string(e.what()).find(chain.string()), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(listing(), before) << "recover() must leave every file in place";
+  EXPECT_EQ(revived.stats().checkpoints_quarantined, 0u);
+  EXPECT_EQ(revived.stats().recoveries_completed, 0u);
 }
 
-TEST_F(Checkpoint, FoldedChainPreservesFreesForMidWindowClients) {
-  // A block created *and* freed between two incremental checkpoints leaves
-  // no trace in the window's diff — but a client whose cached version lies
-  // inside the window saw the creation, so the recovered server must still
-  // tell it about the free. The chain's fold-history tables carry exactly
+TEST_F(Checkpoint, SnapshotPreservesFreesForMidWindowClients) {
+  // A block created *and* freed between two checkpoints leaves no trace in
+  // the window's diff — but a client whose cached version lies inside the
+  // window saw the creation, so the recovered server must still tell it
+  // about the free. The snapshot's version-history tables carry exactly
   // this.
   auto options = server_options();
   uint32_t mid_version = 0;
@@ -470,7 +429,7 @@ TEST_F(Checkpoint, FoldedChainPreservesFreesForMidWindowClients) {
     c.write_lock(seg);
     c.malloc_block(seg, arr, "keep");
     c.write_unlock(seg);  // v2
-    server.checkpoint();  // full snapshot, base v2
+    server.checkpoint();  // snapshot at v2
     c.write_lock(seg);
     void* victim = c.malloc_block(seg, arr, "victim");
     victim_serial = client::BlockHeader::from_data(victim)->serial;
@@ -479,7 +438,7 @@ TEST_F(Checkpoint, FoldedChainPreservesFreesForMidWindowClients) {
     c.write_lock(seg);
     c.free_block(seg, static_cast<uint8_t*>(victim));
     c.write_unlock(seg);  // v4
-    server.checkpoint();  // delta v2 -> v4: create+free pair, empty diff
+    server.checkpoint();  // snapshot at v4: create+free pair since v2
   }
 
   server::SegmentServer revived(server_options());

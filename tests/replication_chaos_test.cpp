@@ -34,6 +34,7 @@
 #include <array>
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
@@ -41,6 +42,7 @@
 #include <iterator>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <unordered_set>
@@ -107,10 +109,13 @@ Model snapshot_of(Client& c, ClientSegment* seg) {
 /// connection — the failure that drives a client into failover resolution.
 class KillableCore final : public ServerCore {
  public:
+  /// Swaps the backing server; returns once every request already inside
+  /// the old one has left it, so the caller may destroy it.
   void set_server(server::SegmentServer* server) {
-    std::lock_guard lock(mu_);
+    std::unique_lock lock(mu_);
     server_ = server;
     known_.clear();
+    idle_.wait(lock, [this] { return in_flight_ == 0; });
   }
 
   void on_connect(SessionId session, Notifier notify) override {
@@ -129,16 +134,33 @@ class KillableCore final : public ServerCore {
     }
   }
 
+  /// The request runs without `mu_` held: a request may dial another
+  /// node's proxy (a recruit's backfill pull), and holding two proxies'
+  /// locks in either order would be a lock-order inversion.
   Frame handle(SessionId session, const Frame& request) override {
-    std::lock_guard lock(mu_);
-    if (server_ == nullptr || known_.find(session) == known_.end()) {
-      throw Error::transport(ErrorCode::kConnReset, "server killed");
+    server::SegmentServer* server = nullptr;
+    {
+      std::lock_guard lock(mu_);
+      if (server_ == nullptr || known_.find(session) == known_.end()) {
+        throw Error::transport(ErrorCode::kConnReset, "server killed");
+      }
+      server = server_;
+      ++in_flight_;
     }
-    return server_->handle(session, request);
+    struct Leave {
+      KillableCore* self;
+      ~Leave() {
+        std::lock_guard lock(self->mu_);
+        if (--self->in_flight_ == 0) self->idle_.notify_all();
+      }
+    } leave{this};
+    return server->handle(session, request);
   }
 
  private:
   std::mutex mu_;
+  std::condition_variable idle_;  // in_flight_ dropped to 0
+  uint32_t in_flight_ = 0;
   server::SegmentServer* server_ = nullptr;
   std::unordered_set<SessionId> known_;
 };
@@ -819,9 +841,6 @@ void start_node(ClusterNode& n, bool tcp,
   opts.checkpoint_dir = n.dir.string();
   opts.wal_sync = WriteAheadLog::Sync::kCommit;
   opts.writer_lease_ms = 1'500;
-  // Full checkpoints only, so the final byte-identity check compares one
-  // whole-store snapshot per node instead of a base + chain.
-  opts.checkpoint_chain_limit = 0;
   opts.replicator = n.replicator;
   opts.peer_dial = dial;
   n.server = std::make_unique<server::SegmentServer>(opts);
@@ -1850,6 +1869,73 @@ TEST(SyncHandshakeTest, LineageSurvivesCheckpointTruncationAndRestart) {
     });
     EXPECT_EQ(snapshot_of(c, c.open_segment(kUrl)), model);
   }
+  fs::remove_all(dir);
+}
+
+// A replica journals every record the primary streams to it, so it must
+// also checkpoint on its own checkpoint_every period; otherwise its journal
+// grows with every commit ever replicated. The snapshot it writes plus the
+// short journal tail must still recover to the primary's version.
+TEST(ReplicationEdgeTest, ReplicaCheckpointsBoundItsJournal) {
+  fs::path dir = fs::temp_directory_path() /
+                 ("iw-repl-ckpt-" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+
+  server::SegmentServer::Options ropts;
+  ropts.checkpoint_dir = dir.string();
+  ropts.checkpoint_every = 4;
+  ropts.wal_sync = WriteAheadLog::Sync::kCommit;
+  auto replica = std::make_unique<server::SegmentServer>(ropts);
+
+  WalReplicator::Options wopts;
+  wopts.replication_factor = 1;
+  auto replicator = std::make_shared<WalReplicator>(wopts);
+  replicator->add_replica("replica",
+                          [&replica]() -> std::shared_ptr<ClientChannel> {
+                            return std::make_shared<InProcChannel>(*replica);
+                          });
+  server::SegmentServer::Options popts;
+  popts.replicator = replicator;
+  server::SegmentServer primary(popts);
+
+  Model model;
+  {
+    Client client([&primary](const std::string&) {
+      return std::make_shared<InProcChannel>(primary);
+    });
+    ClientSegment* seg = client.open_segment(kUrl);
+    for (int step = 0; step < 20; ++step) {
+      const std::string name = "k" + std::to_string(step % 3);
+      model[name] = step_values(31, step);
+      put_block(client, seg, name, model[name]);
+    }
+  }
+  const uint32_t version = primary.segment_version(kUrl);
+  EXPECT_EQ(replica->segment_version(kUrl), version);
+  replicator->shutdown();
+  replica.reset();
+
+  fs::path journal;
+  fs::path snapshot;
+  for (const auto& dirent : fs::directory_iterator(dir)) {
+    if (dirent.path().extension() == ".iwlog") journal = dirent.path();
+    if (dirent.path().extension() == ".iwseg") snapshot = dirent.path();
+  }
+  ASSERT_FALSE(journal.empty());
+  EXPECT_FALSE(snapshot.empty()) << "replica never checkpointed";
+  size_t commits = 0;
+  for (const auto& rec : WriteAheadLog::replay(journal.string()).records) {
+    commits += rec.type == WalRecordType::kCommit;
+  }
+  EXPECT_LT(commits, 4u) << "replica journal outgrew checkpoint_every";
+
+  server::SegmentServer revived(ropts);
+  revived.recover();
+  EXPECT_EQ(revived.segment_version(kUrl), version);
+  Client reader([&revived](const std::string&) {
+    return std::make_shared<InProcChannel>(revived);
+  });
+  EXPECT_EQ(snapshot_of(reader, reader.open_segment(kUrl)), model);
   fs::remove_all(dir);
 }
 
