@@ -9,11 +9,16 @@
 //   lastblock   last-block prediction on/off when applying a diff that
 //               touches 1000 blocks in order
 //   diffcache   server diff cache on/off for repeated identical requests
+//   eager_twins whole write critical section (acquire, writes, release) of
+//               kVmDiff (a fault per touched page) vs kAuto (twins every
+//               page at acquire once a release saw >= 1/8 of them dirty)
+//               at 100%, 12.5% and 1% page density
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 
 #include "interweave/interweave.hpp"
+#include "util/stopwatch.hpp"
 
 namespace iw::bench {
 namespace {
@@ -225,6 +230,47 @@ void bm_diffcache(benchmark::State& state, bool enabled) {
   state.counters["cache_hits"] = static_cast<double>(stats.diff_cache_hits);
 }
 
+// --------------------------------------------------------- eager_twins
+
+void bm_eager_twins(benchmark::State& state, TrackingMode mode,
+                    uint64_t page_stride) {
+  server::SegmentServer server;
+  Client writer(
+      [&](const std::string&) { return std::make_shared<InProcChannel>(server); },
+      tracking_options(mode));
+  constexpr uint64_t kInts = 262144;  // 1 MiB: 256 data pages
+  constexpr uint64_t kIntsPerPage = 1024;
+  const TypeDescriptor* arr = writer.types().array_of(
+      writer.types().primitive(PrimitiveKind::kInt32), kInts);
+  ClientSegment* seg = writer.open_segment("bench/eager");
+  writer.write_lock(seg);
+  auto* data = static_cast<int32_t*>(writer.malloc_block(seg, arr));
+  writer.write_unlock(seg);
+
+  // One word on every page_stride-th of the block's 257 pages (the block
+  // header shifts the data, so the last word is on the 257th).
+  uint64_t salt = 1;
+  auto section = [&] {
+    writer.write_lock(seg);
+    for (uint64_t page = 0; page <= kInts / kIntsPerPage;
+         page += page_stride) {
+      uint64_t i = std::min(page * kIntsPerPage, kInts - 1);
+      data[i] = static_cast<int32_t>(i + salt);
+    }
+    ++salt;
+    writer.write_unlock(seg);
+  };
+  section();  // steady state: kAuto has seen one release of this density
+  for (auto _ : state) {
+    Stopwatch timer;
+    section();
+    state.SetIterationTime(timer.elapsed_seconds());
+  }
+  state.counters["eager_twin_pages"] =
+      static_cast<double>(writer.stats().eager_twin_pages) /
+      static_cast<double>(state.iterations());
+}
+
 void register_all() {
   auto reg = [](const std::string& name, auto fn, auto... args) {
     return benchmark::RegisterBenchmark(name.c_str(), fn, args...)
@@ -245,6 +291,14 @@ void register_all() {
   reg("ablation/isomorphic/off", bm_isomorphic, false);
   reg("ablation/lastblock/prediction_on", bm_lastblock, true);
   reg("ablation/lastblock/prediction_off", bm_lastblock, false);
+  const std::pair<const char*, uint64_t> densities[] = {
+      {"pages_100pct", 1}, {"pages_12.5pct", 8}, {"pages_1pct", 100}};
+  for (const auto& [label, stride] : densities) {
+    reg(std::string("ablation/eager_twins/vmdiff_") + label, bm_eager_twins,
+        TrackingMode::kVmDiff, stride);
+    reg(std::string("ablation/eager_twins/auto_") + label, bm_eager_twins,
+        TrackingMode::kAuto, stride);
+  }
   benchmark::RegisterBenchmark("ablation/diffcache/on", bm_diffcache, true)->UseManualTime()->Iterations(64);
   benchmark::RegisterBenchmark("ablation/diffcache/off", bm_diffcache, false)->UseManualTime()->Iterations(64);
 }

@@ -2,6 +2,8 @@
 # Repo verification: tier-1 build + full test suite, then the translation
 # differential test again under UBSan (the plan engine's pointer/offset
 # arithmetic is exactly what -fsanitize=undefined is good at catching),
+# and the write-tracking suites (twin-pointer arithmetic on the fault and
+# eager-twin paths),
 # then the fault/lease/chaos suites under UBSan and TSan — the chaos
 # workload's reconnect/lease interleavings are exactly what -fsanitize=thread
 # is good at catching — plus the reactor transport suite (partial frames,
@@ -48,9 +50,15 @@ cmake -B "$UBSAN_BUILD" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DIW_SANITIZE=undefined
 cmake --build "$UBSAN_BUILD" -j "$JOBS" \
       --target wire_translate_test fault_test lease_test chaos_test \
-      reactor_test lock_cache_test replication_chaos_test
+      reactor_test lock_cache_test replication_chaos_test \
+      client_tracking_test block_nodiff_test transaction_test
 UBSAN_OPTIONS=halt_on_error=1 \
     "$UBSAN_BUILD"/tests/wire_translate_test
+# Write tracking: fault-time and eager (acquire-time) twins, per-block
+# no-diff page skipping, and transaction rollback from either kind of twin.
+for t in client_tracking_test block_nodiff_test transaction_test; do
+  UBSAN_OPTIONS=halt_on_error=1 "$UBSAN_BUILD"/tests/"$t"
+done
 for t in fault_test lease_test chaos_test reactor_test lock_cache_test \
          replication_chaos_test; do
   UBSAN_OPTIONS=halt_on_error=1 "$UBSAN_BUILD"/tests/"$t"

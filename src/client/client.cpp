@@ -983,7 +983,11 @@ void Client::begin_tracking_locked(ClientSegment* seg) {
            s = s->next) {
         // Pages fully covered by per-block no-diff blocks stay writable:
         // their content travels whole anyway, so faults and twins would be
-        // pure overhead.
+        // pure overhead. Under kAuto a subsegment whose last release
+        // dirtied most of it would fault on nearly every page; its pages
+        // are twinned now instead and stay writable.
+        s->eager_twins = options_.tracking == TrackingMode::kAuto &&
+                         s->dense_writes;
         bool any_skip = false;
         std::vector<bool> skip;
         if (options_.per_block_no_diff) {
@@ -1002,7 +1006,9 @@ void Client::begin_tracking_locked(ClientSegment* seg) {
             }
           }
         }
-        if (any_skip) {
+        if (s->eager_twins) {
+          stats_.eager_twin_pages += twin_all_pages(*s, skip);
+        } else if (any_skip) {
           protect_subsegment_except(*s, skip);
         } else {
           protect_subsegment(*s);
@@ -1023,9 +1029,10 @@ void Client::begin_tracking_locked(ClientSegment* seg) {
 void Client::end_tracking_locked(ClientSegment* seg) {
   for (Subsegment* s = seg->heap_.first_subsegment(); s != nullptr;
        s = s->next) {
-    if (seg->active_tracking_ == TrackingMode::kVmDiff) {
+    if (seg->active_tracking_ == TrackingMode::kVmDiff && !s->eager_twins) {
       unprotect_subsegment(*s);
     }
+    s->eager_twins = false;
     drop_all_twins(*s);
   }
 }
@@ -1082,6 +1089,10 @@ void Client::collect_and_release_locked(ClientSegment* seg) {
   if (no_diff) {
     ++stats_.no_diff_releases;
     seg->heap_.for_each_block(emit_whole);
+    for (Subsegment* s = seg->heap_.first_subsegment(); s != nullptr;
+         s = s->next) {
+      s->dense_writes = false;
+    }
   } else {
     ++stats_.diff_releases;
     // New blocks travel whole regardless of twins.
@@ -1109,18 +1120,23 @@ void Client::collect_and_release_locked(ClientSegment* seg) {
 
     // Phase 1: word-by-word comparison of dirty pages against their twins,
     // producing subsegment-relative modified byte ranges with run splicing.
+    // The count of pages with modified words is kAuto's tracking decision
+    // for the subsegment's next critical section.
     Stopwatch word_timer;
     std::vector<std::pair<Subsegment*, std::vector<ByteRange>>> modified;
     for (Subsegment* s = seg->heap_.first_subsegment(); s != nullptr;
          s = s->next) {
+      s->dense_writes = false;
       if (!s->any_twin.load(std::memory_order_acquire)) continue;
       std::vector<ByteRange> ranges;
+      size_t dirty_pages = 0;
       for (size_t page = 0; page < s->page_count(); ++page) {
         uint8_t* twin = s->twins[page];
         if (twin == nullptr) continue;
         size_t before = ranges.size();
         diff_words(s->base + page * kPageSize, twin, kPageSize,
                    options_.splice_gap_words, ranges);
+        if (ranges.size() > before) ++dirty_pages;
         // Rebase page-relative ranges and merge across the page boundary.
         uint32_t base_off = static_cast<uint32_t>(page * kPageSize);
         for (size_t i = before; i < ranges.size(); ++i) {
@@ -1133,6 +1149,7 @@ void Client::collect_and_release_locked(ClientSegment* seg) {
           ranges.erase(ranges.begin() + static_cast<ptrdiff_t>(before));
         }
       }
+      s->dense_writes = dirty_pages * kDenseWriteDivisor >= s->page_count();
       if (!ranges.empty()) modified.emplace_back(s, std::move(ranges));
     }
     stats_.word_diff_ns += word_timer.elapsed_ns();

@@ -36,7 +36,9 @@ namespace iw::client {
 
 /// How local modifications are detected during write critical sections.
 enum class TrackingMode : uint8_t {
-  kAuto = 0,      ///< VM diffing with adaptive switch to no-diff (§3.3)
+  kAuto = 0,      ///< VM diffing with adaptive switch to no-diff (§3.3);
+                  ///< subsegments whose last release dirtied >= 1/8 of
+                  ///< their pages are twinned at acquire instead of faulting
   kVmDiff = 1,    ///< always mprotect + SIGSEGV twins + word diffing
   kSoftware = 2,  ///< eager page snapshots at lock acquire; same diffs
   kNoDiff = 3,    ///< always transmit whole blocks, no twins
@@ -71,6 +73,7 @@ struct ClientStats {
   uint64_t diff_releases = 0;
   uint64_t no_diff_releases = 0;
   uint64_t block_no_diff_emissions = 0;  ///< blocks sent whole by block mode
+  uint64_t eager_twin_pages = 0;  ///< pages kAuto twinned at acquire (dense)
 
   // Plan-compiled translation counters, merged from the client's type
   // registry (see types/translation_plan.hpp).

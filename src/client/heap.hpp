@@ -107,6 +107,12 @@ struct Subsegment {
   std::vector<uint8_t*> twins;
   /// Set by the handler so diff collection can skip clean subsegments.
   std::atomic<bool> any_twin{false};
+  /// kAuto write tracking, both guarded by the client mutex. `dense_writes`
+  /// is the last diffing release's verdict (modified words on at least
+  /// 1/kDenseWriteDivisor of the pages); `eager_twins` says this critical
+  /// section twinned the pages at acquire and never write-protected them.
+  bool dense_writes = false;
+  bool eager_twins = false;
 
   AvlHook addr_hook;  // in the client-global subseg_addr_tree
   BlockAddrTree blocks_by_addr;

@@ -162,15 +162,22 @@ void unprotect_subsegment(Subsegment& subseg) {
   }
 }
 
-void twin_all_pages(Subsegment& subseg) {
+size_t twin_all_pages(Subsegment& subseg, const std::vector<bool>& skip) {
+  check_internal(skip.empty() || skip.size() == subseg.page_count(),
+                 "skip vector size");
+  size_t twinned = 0;
   for (size_t page = 0; page < subseg.page_count(); ++page) {
-    if (subseg.twins[page] != nullptr) continue;
+    if (subseg.twins[page] != nullptr || (!skip.empty() && skip[page])) {
+      continue;
+    }
     uint8_t* twin = map_twin_page();
     if (twin == nullptr) throw_errno("mmap twin");
     std::memcpy(twin, subseg.base + page * kPageSize, kPageSize);
     subseg.twins[page] = twin;
+    ++twinned;
   }
   subseg.any_twin.store(true, std::memory_order_release);
+  return twinned;
 }
 
 void drop_all_twins(Subsegment& subseg) {

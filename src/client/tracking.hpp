@@ -12,6 +12,17 @@
 // using VM protection — same diffs, no signals (useful under debuggers and
 // in tests, and the natural port target for platforms without mprotect).
 //
+// The default (kAuto) picks between the two per subsegment at each write
+// lock acquire. Faults pay off only while writes are sparse: one costs
+// several times an eager page copy plus its word diff. So a subsegment
+// whose last diffing release found modified words on at least
+// 1/kDenseWriteDivisor of its pages is twinned eagerly and left writable;
+// every other subsegment is write-protected. Twins are taken after the
+// acquire's update is applied, so eager twins hold exactly what a fault
+// would have copied and the diffs are byte-identical. Once writes thin out
+// the next release sees few dirty pages and the subsegment goes back to
+// faults.
+//
 // Concurrency note: faults from multiple threads on distinct pages are
 // safe (per-slot CAS); concurrent first-writes to the *same* page race
 // exactly as the underlying application data race does.
@@ -23,6 +34,13 @@
 #include "client/heap.hpp"
 
 namespace iw::client {
+
+/// kAuto twins a subsegment eagerly at acquire when its last diffing
+/// release dirtied at least 1/kDenseWriteDivisor of its pages: about where
+/// one write fault (signal, page copy, mprotect) per dirty page costs as
+/// much as an eager copy plus word diff of every page. `ablation/eager_twins`
+/// in bench/ablations.cpp measures both sides.
+inline constexpr size_t kDenseWriteDivisor = 8;
 
 /// Half-open modified byte range, relative to a subsegment base.
 struct ByteRange {
@@ -52,9 +70,11 @@ void protect_subsegment_except(Subsegment& subseg,
 /// Restores read-write access to all pages.
 void unprotect_subsegment(Subsegment& subseg);
 
-/// Eagerly snapshots every page (software mode). Pages that already have
-/// twins keep them.
-void twin_all_pages(Subsegment& subseg);
+/// Eagerly snapshots every page (software mode), or with a non-empty
+/// `skip` only the pages where `skip[i]` is false (kAuto's dense
+/// subsegments). Pages that already have twins keep them. Returns the
+/// number of twins made.
+size_t twin_all_pages(Subsegment& subseg, const std::vector<bool>& skip = {});
 
 /// Releases all twins and clears the pagemap.
 void drop_all_twins(Subsegment& subseg);

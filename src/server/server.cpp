@@ -1113,6 +1113,10 @@ void SegmentServer::apply_replicated_locked(SegmentEntry& entry,
       entry.store = std::make_unique<SegmentStore>(name, options_.store);
       mutated = true;
       break;
+    case WalRecordType::kEpochAdopt:
+      // Never travels the replication stream (the kWalAppend handler
+      // rejects it): each server journals its own lineage markers.
+      break;
   }
   if (!mutated) return;
   stats_.repl_records_applied.fetch_add(1, std::memory_order_relaxed);

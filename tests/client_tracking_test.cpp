@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 
 #include "client/client.hpp"
@@ -282,6 +283,157 @@ TEST_F(TrackingModes, AutoProbesDiffingAgain) {
   }
   // ...after which diffing is probed again.
   EXPECT_FALSE(seg->no_diff_active());
+}
+
+// --- kAuto's per-subsegment choice between faults and eager twins ---
+
+constexpr int kMiBInts = 262144;  // 1 MiB of int32: 256 data pages
+constexpr int kIntsPerPage = static_cast<int>(kPageSize / 4);
+
+/// Creates a 1 MiB int32 block "a" (its own subsegment) and returns it.
+int32_t* make_mib_block(Client& c, ClientSegment* seg) {
+  const TypeDescriptor* arr = c.types().array_of(
+      c.types().primitive(PrimitiveKind::kInt32), kMiBInts);
+  c.write_lock(seg);
+  auto* data = static_cast<int32_t*>(c.malloc_block(seg, arr, "a"));
+  c.write_unlock(seg);
+  return data;
+}
+
+/// One critical section writing one word on every page of the block.
+void write_every_page(Client& c, ClientSegment* seg, int32_t* data,
+                      int32_t salt) {
+  c.write_lock(seg);
+  for (int i = 0; i < kMiBInts; i += kIntsPerPage) data[i] = i + salt;
+  c.write_unlock(seg);
+}
+
+TEST_F(TrackingModes, AutoDenseSectionTakesNoFaults) {
+  auto c = make_client(TrackingMode::kAuto);
+  ClientSegment* seg = c->open_segment("host/dense");
+  int32_t* data = make_mib_block(*c, seg);
+
+  // The first dense section faults page by page; its release sees every
+  // page dirty, so the second one is twinned at acquire.
+  uint64_t faults_before = fault_count();
+  write_every_page(*c, seg, data, 1);
+  EXPECT_GE(fault_count() - faults_before, 256u);
+  EXPECT_EQ(c->stats().eager_twin_pages, 0u);
+
+  faults_before = fault_count();
+  write_every_page(*c, seg, data, 2);
+  EXPECT_EQ(fault_count() - faults_before, 0u);
+  EXPECT_GE(c->stats().eager_twin_pages, 256u);
+  EXPECT_FALSE(seg->no_diff_active()) << "256 of 262144 words is a diff";
+
+  auto reader = make_client(TrackingMode::kAuto);
+  ClientSegment* rs = reader->open_segment("host/dense");
+  reader->read_lock(rs);
+  const auto* d =
+      reinterpret_cast<const int32_t*>(rs->heap().find_by_name("a")->data());
+  for (int i = 0; i < kMiBInts; ++i) {
+    ASSERT_EQ(d[i], i % kIntsPerPage == 0 ? i + 2 : 0) << i;
+  }
+  reader->read_unlock(rs);
+}
+
+TEST_F(TrackingModes, AutoReturnsToFaultsWhenWritesThinOut) {
+  auto c = make_client(TrackingMode::kAuto);
+  ClientSegment* seg = c->open_segment("host/thin");
+  int32_t* data = make_mib_block(*c, seg);
+  write_every_page(*c, seg, data, 1);
+
+  // The first one-word section still pays one eager sweep...
+  uint64_t faults_before = fault_count();
+  uint64_t eager_before = c->stats().eager_twin_pages;
+  c->write_lock(seg);
+  data[100000] = 41;
+  c->write_unlock(seg);
+  EXPECT_EQ(fault_count() - faults_before, 0u);
+  EXPECT_GE(c->stats().eager_twin_pages - eager_before, 256u);
+
+  // ...whose release sees one dirty page, so the next one faults again
+  // and, like VmDiffSendsOnlyTouchedSubblocks, sends a single unit.
+  faults_before = fault_count();
+  eager_before = c->stats().eager_twin_pages;
+  uint64_t units_before = c->stats().units_sent;
+  c->write_lock(seg);
+  data[100000] = 42;
+  c->write_unlock(seg);
+  uint64_t faults = fault_count() - faults_before;
+  EXPECT_GE(faults, 1u);
+  EXPECT_LE(faults, 4u);
+  EXPECT_EQ(c->stats().eager_twin_pages, eager_before);
+  EXPECT_EQ(c->stats().units_sent - units_before, 1u);
+}
+
+// kAuto and kVmDiff writers apply the same seeded write sets, from one page
+// in a thousand to every page, to two segments of identical shape. Eager
+// twins are taken after the acquire's update, exactly what a fault would
+// copy, so both must send the same units and the same bytes every round.
+TEST_F(TrackingModes, AutoAndVmDiffSendIdenticalDiffs) {
+  auto autow = make_client(TrackingMode::kAuto);
+  auto vmw = make_client(TrackingMode::kVmDiff);
+  // Equal-length URLs: the bytes on the wire must match exactly.
+  ClientSegment* as = autow->open_segment("host/diff-a");
+  ClientSegment* vs = vmw->open_segment("host/diff-v");
+  int32_t* ad = make_mib_block(*autow, as);
+  int32_t* vd = make_mib_block(*vmw, vs);
+  auto reader = make_client(TrackingMode::kAuto);
+  ClientSegment* ras = reader->open_segment("host/diff-a");
+  ClientSegment* rvs = reader->open_segment("host/diff-v");
+
+  constexpr int kPages = kMiBInts / kIntsPerPage;
+  SplitMix64 rng(15);
+  for (int round = 0; round < 20; ++round) {
+    // Page density log-uniform in [0.1%, 100%]; 1..8 words per page keeps
+    // the modified fraction far below the whole-segment no-diff switch.
+    double density = std::pow(1000.0, rng.uniform() - 1.0);
+    if (round % 5 == 4) density = 1.0;
+    std::vector<std::pair<int, int32_t>> writes;
+    for (int page = 0; page < kPages; ++page) {
+      if (page > 0 && rng.uniform() >= density) continue;
+      int words = 1 + static_cast<int>(rng.below(8));
+      for (int w = 0; w < words; ++w) {
+        writes.emplace_back(page * kIntsPerPage +
+                                static_cast<int>(rng.below(kIntsPerPage)),
+                            static_cast<int32_t>(rng()));
+      }
+    }
+    uint64_t a_units = autow->stats().units_sent;
+    uint64_t v_units = vmw->stats().units_sent;
+    uint64_t a_bytes = autow->bytes_sent();
+    uint64_t v_bytes = vmw->bytes_sent();
+    autow->write_lock(as);
+    vmw->write_lock(vs);
+    for (auto [i, v] : writes) {
+      ad[i] = v;
+      vd[i] = v;
+    }
+    autow->write_unlock(as);
+    vmw->write_unlock(vs);
+    ASSERT_EQ(autow->stats().units_sent - a_units,
+              vmw->stats().units_sent - v_units)
+        << "round " << round << " density " << density;
+    ASSERT_EQ(autow->bytes_sent() - a_bytes, vmw->bytes_sent() - v_bytes)
+        << "round " << round << " density " << density;
+
+    reader->read_lock(ras);
+    reader->read_lock(rvs);
+    ASSERT_EQ(std::memcmp(ras->heap().find_by_name("a")->data(),
+                          rvs->heap().find_by_name("a")->data(),
+                          kMiBInts * sizeof(int32_t)),
+              0)
+        << "round " << round;
+    ASSERT_EQ(std::memcmp(ras->heap().find_by_name("a")->data(), ad,
+                          kMiBInts * sizeof(int32_t)),
+              0)
+        << "round " << round;
+    reader->read_unlock(rvs);
+    reader->read_unlock(ras);
+  }
+  EXPECT_GT(autow->stats().eager_twin_pages, 0u) << "no round went eager";
+  EXPECT_EQ(vmw->stats().eager_twin_pages, 0u);
 }
 
 }  // namespace

@@ -162,6 +162,47 @@ TEST(Iwinspect, DumpsJournal) {
   fs::remove_all(dir);
 }
 
+// A promotion journals the adopted placement epoch as a local lineage
+// marker; the journal dump names it.
+TEST(Iwinspect, DumpNamesEpochAdoptRecord) {
+  fs::path dir = fs::temp_directory_path() / "iw-tools-epoch";
+  fs::remove_all(dir);
+  {
+    server::SegmentServer::Options sopts;
+    sopts.checkpoint_dir = dir.string();
+    server::SegmentServer core(sopts);
+    Client c([&](const std::string&) {
+      return std::make_shared<InProcChannel>(core);
+    });
+    const TypeDescriptor* arr =
+        c.types().array_of(c.types().primitive(PrimitiveKind::kInt32), 16);
+    ClientSegment* seg = c.open_segment("tool/promoted");
+    c.write_lock(seg);
+    c.malloc_block(seg, arr, "data");
+    c.write_unlock(seg);
+
+    auto ch = std::make_shared<InProcChannel>(core);
+    Buffer promote;
+    promote.append_lp_string("tool/promoted");
+    promote.append_u32(2);
+    ch->call(MsgType::kPromote, std::move(promote));
+    ASSERT_EQ(core.segment_lineage_epoch("tool/promoted"), 2u);
+  }
+
+  fs::path wal;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.path().extension() == ".iwlog") wal = entry.path();
+  }
+  ASSERT_FALSE(wal.empty());
+  int code = 0;
+  std::string out = run_command(
+      std::string(IWINSPECT_PATH) + " --wal " + wal.string(), &code);
+  EXPECT_EQ(code, 0) << out;
+  EXPECT_NE(out.find("epoch-adopt"), std::string::npos) << out;
+  EXPECT_EQ(out.find(" ? "), std::string::npos) << out;
+  fs::remove_all(dir);
+}
+
 TEST(Iwinspect, MissingSegmentFailsCleanly) {
   server::SegmentServer core;
   TcpServer server(core, 0);

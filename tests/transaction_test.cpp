@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <vector>
 
 #include "interweave/interweave.hpp"
 
@@ -208,6 +209,41 @@ TEST_P(Txn, MisuseThrows) {
   // A plain write lock is not a transaction.
   EXPECT_THROW(c->abort_transaction(seg), Error);
   c->write_unlock(seg);
+}
+
+// Under kAuto a subsegment whose last release dirtied most of its pages is
+// twinned at acquire instead of write-protected; those eager twins are the
+// pre-images abort restores from.
+TEST(TxnEagerTwins, AbortAfterDenseSectionRestoresEveryByte) {
+  server::SegmentServer server;
+  Client c([&](const std::string&) {
+    return std::make_shared<InProcChannel>(server);
+  });
+  ASSERT_EQ(c.options().tracking, TrackingMode::kAuto);
+  constexpr int kInts = 262144;  // 1 MiB, its own subsegment
+  const TypeDescriptor* arr =
+      c.types().array_of(c.types().primitive(PrimitiveKind::kInt32), kInts);
+  ClientSegment* seg = c.open_segment("host/txn-eager");
+  c.write_lock(seg);
+  auto* data = static_cast<int32_t*>(c.malloc_block(seg, arr, "a"));
+  for (int i = 0; i < kInts; ++i) data[i] = i;
+  c.write_unlock(seg);
+  // A dense section: one word on every page.
+  c.write_lock(seg);
+  for (int i = 0; i < kInts; i += 1024) data[i] = -i;
+  c.write_unlock(seg);
+  std::vector<int32_t> committed(data, data + kInts);
+  uint32_t version_before = seg->version();
+
+  uint64_t eager_before = c.stats().eager_twin_pages;
+  c.begin_transaction(seg);
+  EXPECT_GE(c.stats().eager_twin_pages - eager_before, 256u);
+  for (int i = 0; i < kInts; i += 97) data[i] = 7;
+  c.abort_transaction(seg);
+
+  for (int i = 0; i < kInts; ++i) ASSERT_EQ(data[i], committed[i]) << i;
+  EXPECT_EQ(seg->version(), version_before);
+  EXPECT_EQ(server.segment_version("host/txn-eager"), version_before);
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, Txn,

@@ -129,6 +129,7 @@ const char* wal_type_name(iw::server::WalRecordType type) {
     case iw::server::WalRecordType::kRegisterType: return "register-type";
     case iw::server::WalRecordType::kCommit: return "commit";
     case iw::server::WalRecordType::kSegmentDestroy: return "segment-destroy";
+    case iw::server::WalRecordType::kEpochAdopt: return "epoch-adopt";
   }
   return "?";
 }
