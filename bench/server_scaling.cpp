@@ -905,7 +905,14 @@ int main(int argc, char** argv) {
   bool update_bytes = false;
   int readers = 4;
   int rounds = 64;
+  int cycles = 2000;
   for (int i = 1; i < argc; ++i) {
+    char* end = nullptr;
+    const long positional = std::strtol(argv[i], &end, 10);
+    if (i == 1 && *end == '\0' && positional > 0 && positional <= 1'000'000) {
+      cycles = static_cast<int>(positional);
+      continue;
+    }
     if (std::strcmp(argv[i], "--connections") == 0 && i + 1 < argc) {
       connections = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--seconds") == 0 && i + 1 < argc) {
@@ -918,6 +925,16 @@ int main(int argc, char** argv) {
       update_bytes = true;
     } else if (std::strcmp(argv[i], "--rounds") == 0 && i + 1 < argc) {
       rounds = std::atoi(argv[++i]);
+    } else {
+      std::fprintf(stderr,
+                   "unknown argument '%s'\n"
+                   "usage: server_scaling [cycles-per-thread]\n"
+                   "       server_scaling --connections N [--seconds S]\n"
+                   "       server_scaling --hot-read [--readers N] "
+                   "[--seconds S]\n"
+                   "       server_scaling --update-bytes [--rounds N]\n",
+                   argv[i]);
+      return 2;
     }
   }
   if (update_bytes) {
@@ -936,7 +953,6 @@ int main(int argc, char** argv) {
     return iw::run_connection_scaling(connections, bench_seconds);
   }
 
-  int cycles = argc > 1 ? std::atoi(argv[1]) : 2000;
   unsigned cores = std::thread::hardware_concurrency();
   std::printf("[\n");
   bool first = true;

@@ -10,15 +10,17 @@
 # burst coalescing, backpressure, worker-pool elasticity) under both
 # sanitizers and the chaos/lease suites again over TCP, so the epoll
 # reactor's cross-thread outbox/retirement protocol is raced under TSan.
-# The lock-cache suite and an IW_LOCK_CACHE=1 chaos lane run under both
-# sanitizers too: revocation acks ride a background worker thread racing
-# lock acquires, releases, and channel teardown — TSan bait by design.
+# The lock-cache suite runs under both sanitizers too (revocation acks ride
+# a background worker thread racing lock acquires, releases, and channel
+# teardown — TSan bait by design), and so does an IW_LOCK_CACHE=0 chaos
+# lane: caching is the default, so that lane covers plain uncached locks.
 # The client API suite runs under TSan as well: it resets and reads the
 # client's stats while another thread runs read critical sections.
-# IW_COMPRESS=1 chaos/lease lanes run under both sanitizers as well: the
-# section envelope, the LZ codec's pointer arithmetic, and compressed
-# journal recovery (the UBSan lane includes the restart seeds) are raced
-# and bounds-checked the same way.
+# IW_COMPRESS=0 chaos/lease lanes run under both sanitizers as well:
+# compression is the default, so the base lanes already race and
+# bounds-check the section envelope and the LZ codec, and these cover the
+# raw diff sections, the raw record stream and raw journal recovery (the
+# UBSan lane includes the restart seeds).
 # The replication chaos suite (WAL streaming, directory failover, epoch
 # fencing, and the fork+SIGKILL zero-lost-acks matrix) runs under UBSan,
 # and its thread-safe subset plus a real-sockets failover lane under TSan —
@@ -87,15 +89,15 @@ IW_CHAOS_TRANSPORT=tcp UBSAN_OPTIONS=halt_on_error=1 \
     "$UBSAN_BUILD"/tests/chaos_test --gtest_filter='Seeds/ChaosTest.*'
 IW_LEASE_TRANSPORT=tcp UBSAN_OPTIONS=halt_on_error=1 \
     "$UBSAN_BUILD"/tests/lease_test
-echo "== chaos suite with cached reader locks under UBSan =="
-IW_LOCK_CACHE=1 UBSAN_OPTIONS=halt_on_error=1 \
+echo "== chaos suite with uncached reader locks under UBSan =="
+IW_LOCK_CACHE=0 UBSAN_OPTIONS=halt_on_error=1 \
     "$UBSAN_BUILD"/tests/chaos_test --gtest_filter='Seeds/ChaosTest.*'
-echo "== chaos suite with payload compression under UBSan =="
-# Seeds/* also covers the restart suite, so snapshot load plus compressed
+echo "== chaos suite without payload compression under UBSan =="
+# Seeds/* also covers the restart suite, so snapshot load plus raw
 # journal-tail replay recovers under the sanitizer too.
-IW_COMPRESS=1 UBSAN_OPTIONS=halt_on_error=1 \
+IW_COMPRESS=0 UBSAN_OPTIONS=halt_on_error=1 \
     "$UBSAN_BUILD"/tests/chaos_test --gtest_filter='Seeds/*'
-IW_COMPRESS=1 UBSAN_OPTIONS=halt_on_error=1 \
+IW_COMPRESS=0 UBSAN_OPTIONS=halt_on_error=1 \
     "$UBSAN_BUILD"/tests/lease_test
 
 echo "== recovery soak: crash/restart cycles under UBSan =="
@@ -134,13 +136,13 @@ IW_CHAOS_TRANSPORT=tcp TSAN_OPTIONS=halt_on_error=1 \
     "$TSAN_BUILD"/tests/chaos_test --gtest_filter='Seeds/ChaosTest.*'
 IW_LEASE_TRANSPORT=tcp TSAN_OPTIONS=halt_on_error=1 \
     "$TSAN_BUILD"/tests/lease_test
-echo "== chaos suite with cached reader locks under TSan =="
-IW_LOCK_CACHE=1 TSAN_OPTIONS=halt_on_error=1 \
+echo "== chaos suite with uncached reader locks under TSan =="
+IW_LOCK_CACHE=0 TSAN_OPTIONS=halt_on_error=1 \
     "$TSAN_BUILD"/tests/chaos_test --gtest_filter='Seeds/ChaosTest.*'
-echo "== chaos suite with payload compression under TSan =="
-IW_COMPRESS=1 TSAN_OPTIONS=halt_on_error=1 \
+echo "== chaos suite without payload compression under TSan =="
+IW_COMPRESS=0 TSAN_OPTIONS=halt_on_error=1 \
     "$TSAN_BUILD"/tests/chaos_test --gtest_filter='Seeds/ChaosTest.*'
-IW_COMPRESS=1 TSAN_OPTIONS=halt_on_error=1 \
+IW_COMPRESS=0 TSAN_OPTIONS=halt_on_error=1 \
     "$TSAN_BUILD"/tests/lease_test
 
 echo "== verify.sh: all green =="

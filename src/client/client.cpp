@@ -495,6 +495,12 @@ void Client::ptr_to_mip_append_locked(const void* ptr, Buffer& out) {
   size_t start = out.size();
   out.append(url.data(), url.size());
   char digits[2 * 20 + 3];
+  char* const end = digits + sizeof digits;
+  auto put_number = [](char* at, char* limit, uint64_t value) {
+    auto [ptr, ec] = std::to_chars(at, limit, value);
+    check_internal(ec == std::errc(), "MIP digits overflow");
+    return ptr;
+  };
   char* d = digits;
   *d++ = '#';
   if (name != nullptr) {
@@ -502,10 +508,10 @@ void Client::ptr_to_mip_append_locked(const void* ptr, Buffer& out) {
     out.append(name->data(), name->size());
     d = digits;
   } else {
-    d = std::to_chars(d, digits + sizeof digits, block->serial).ptr;
+    d = put_number(d, end - 1, block->serial);  // room for the next '#'
   }
   *d++ = '#';
-  d = std::to_chars(d, digits + sizeof digits, unit).ptr;
+  d = put_number(d, end, unit);
   out.append(digits, static_cast<size_t>(d - digits));
   out.patch_u32(len_off, static_cast<uint32_t>(out.size() - start));
 }

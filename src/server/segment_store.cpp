@@ -106,6 +106,43 @@ std::span<const uint8_t> SegmentStore::type_graph(uint32_t serial) const {
   return type_graphs_[serial - 1];
 }
 
+void SegmentStore::append_type_graphs(uint32_t after, Buffer& out) const {
+  const uint32_t count = type_count();
+  out.append_u32(count - after);
+  for (uint32_t serial = after + 1; serial <= count; ++serial) {
+    auto graph = type_graph(serial);
+    out.append_u32(serial);
+    out.append_u32(static_cast<uint32_t>(graph.size()));
+    out.append(graph.data(), graph.size());
+  }
+}
+
+bool SegmentStore::register_type_at(uint32_t serial,
+                                    std::span<const uint8_t> graph) {
+  if (serial <= type_count()) return false;
+  const uint32_t got = register_type(graph);
+  if (got != serial) {
+    throw Error(ErrorCode::kProtocol,
+                "type serial gap on '" + name_ + "' (record " +
+                    std::to_string(serial) + ", store assigned " +
+                    std::to_string(got) + ")");
+  }
+  return true;
+}
+
+bool SegmentStore::apply_diff_at(uint32_t version,
+                                 std::span<const uint8_t> diff_bytes) {
+  if (version <= version_) return false;
+  const uint32_t got = apply_diff(diff_bytes);
+  if (got != version) {
+    throw Error(ErrorCode::kProtocol,
+                "version gap on '" + name_ + "' (record v" +
+                    std::to_string(version) + ", store reached v" +
+                    std::to_string(got) + ")");
+  }
+  return true;
+}
+
 const SvrBlock* SegmentStore::find_block(uint32_t serial) const {
   return blocks_by_serial_.find(serial);
 }

@@ -152,11 +152,23 @@ class SegmentStore {
   }
   /// Encoded graph for a type serial (1-based), for forwarding to clients.
   std::span<const uint8_t> type_graph(uint32_t serial) const;
+  /// Appends the graphs of every type after serial `after` as
+  /// `u32 count | (u32 serial | u32 len | graph)*`: the type table of a
+  /// client update and of a WAL-tail sync.
+  void append_type_graphs(uint32_t after, Buffer& out) const;
 
   /// Applies a client diff, advancing the segment one version. Returns the
   /// new version. Throws Error(kProtocol) on malformed input and
   /// Error(kState) when the diff's base version is not current.
   uint32_t apply_diff(std::span<const uint8_t> diff_bytes);
+
+  /// register_type / apply_diff for a record that names the position it
+  /// produces (journal replay, replication, a sync tail). Each returns
+  /// false, touching nothing, when the store is already at or past that
+  /// position (a re-sent record, or one a snapshot already holds), and
+  /// throws Error(kProtocol) when the store would land anywhere else.
+  bool register_type_at(uint32_t serial, std::span<const uint8_t> graph);
+  bool apply_diff_at(uint32_t version, std::span<const uint8_t> diff_bytes);
 
   /// Builds (or reuses from cache) a diff bringing a client at
   /// `from_version` to the current version. Returns the bytes.

@@ -165,6 +165,7 @@ void SegmentServer::journal_lineage_locked(SegmentEntry& entry) {
 void SegmentServer::adopt_epoch_locked(SegmentEntry& entry, uint32_t epoch) {
   entry.repl_epoch = std::max(entry.repl_epoch, epoch);
   if (epoch == entry.lineage_epoch) return;
+  settle_journal_locked(entry);  // a marker behind torn bytes would be lost
   entry.lineage_epoch = epoch;
   journal_lineage_locked(entry);
 }
@@ -397,15 +398,8 @@ bool SegmentServer::append_update(SegmentEntry& entry, SegmentSession& ss,
   payload.append_u8(1);
   // Ship type definitions the client has not seen yet.
   SegmentStore& store = *entry.store;
-  uint32_t count = store.type_count();
-  payload.append_u32(count - ss.types_sent);
-  for (uint32_t serial = ss.types_sent + 1; serial <= count; ++serial) {
-    payload.append_u32(serial);
-    auto graph = store.type_graph(serial);
-    payload.append_u32(static_cast<uint32_t>(graph.size()));
-    payload.append(graph.data(), graph.size());
-  }
-  ss.types_sent = count;
+  store.append_type_graphs(ss.types_sent, payload);
+  ss.types_sent = store.type_count();
   auto diff = store.collect_diff(client_version);
   if (ss.may_compress) {
     // Negotiated connections carry the diff behind a method byte; the
@@ -534,33 +528,8 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
         // replicas, before any streamed commit references it.
         uint8_t head[4];
         store_be32(head, serial);
-        // One compression decision feeds both sinks: the journal and the
-        // replication stream carry the identical encoding, so replicas
-        // journal what the primary journaled, byte for byte.
-        Buffer packed;
-        const bool compressed =
-            options_.compress_payloads &&
-            compress_record_payload({head, sizeof head}, graph, packed);
-        if (entry.wal != nullptr) {
-          if (compressed) {
-            entry.wal->append(WalRecordType::kRegisterType, packed.span(), {},
-                              true);
-          } else {
-            entry.wal->append(WalRecordType::kRegisterType,
-                              {head, sizeof head}, graph);
-          }
-        }
-        if (options_.replicator != nullptr) {
-          if (compressed) {
-            options_.replicator->replicate(name, entry.repl_epoch,
-                                           WalRecordType::kRegisterType,
-                                           packed.span(), {}, true);
-          } else {
-            options_.replicator->replicate(name, entry.repl_epoch,
-                                           WalRecordType::kRegisterType,
-                                           {head, sizeof head}, graph);
-          }
-        }
+        publish_locked(entry, name, WalRecordType::kRegisterType,
+                       {head, sizeof head}, graph);
       }
       // The registering client now knows this serial; extend its known
       // prefix when contiguous.
@@ -743,78 +712,23 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
         entry.writer_cv.notify_all();
         throw;
       }
-      // One compression decision for the commit record, shared by the
-      // journal append and the replication stream below — the record is
-      // encoded once, and every downstream copy (local log, replica wire,
-      // replica log) inherits the same bytes.
-      uint8_t head[4];
-      store_be32(head, new_version);
-      Buffer packed;
-      bool packed_ok = false;
-      if (new_version != old_version &&
-          (entry.wal != nullptr || options_.replicator != nullptr)) {
-        packed_ok = options_.compress_payloads &&
-                    compress_record_payload({head, sizeof head}, diff_bytes,
-                                            packed);
-        const uint64_t raw_bytes = sizeof head + diff_bytes.size();
-        stats_.commit_raw_bytes.fetch_add(raw_bytes,
-                                          std::memory_order_relaxed);
-        stats_.commit_stored_bytes.fetch_add(
-            packed_ok ? packed.size() : raw_bytes, std::memory_order_relaxed);
-        if (packed_ok) {
-          stats_.commits_compressed.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-      // Journal the commit *before* acknowledging it — apply first (it
-      // validates the diff so garbage never reaches the log), append
-      // second, ack last. A crash after the append is recoverable; a crash
-      // before it was never acknowledged.
-      if (entry.wal != nullptr && new_version != old_version) {
+      // Journal and replicate the commit *before* acknowledging it — apply
+      // first (it validates the diff so garbage never reaches the log),
+      // publish second, ack last. A crash after the publish is recoverable
+      // (locally, or from the promoted replica); a crash before it was
+      // never acknowledged.
+      if (new_version != old_version) {
+        uint8_t head[4];
+        store_be32(head, new_version);
         try {
-          if (packed_ok) {
-            entry.wal->append(WalRecordType::kCommit, packed.span(), {},
-                              true);
-          } else {
-            entry.wal->append(WalRecordType::kCommit, {head, sizeof head},
-                              diff_bytes);
-          }
+          publish_locked(entry, name, WalRecordType::kCommit,
+                         {head, sizeof head}, diff_bytes);
         } catch (...) {
-          // The diff is applied in memory but missing from the journal, so
-          // the log alone can no longer reproduce this state. Drop the lock
-          // (the segment must not wedge), then re-anchor durability on a
-          // fresh snapshot; if that also fails the client's kIo answer
-          // honestly reports the commit as not durable.
-          entry.writer = 0;
-          entry.writer_cv.notify_all();
-          try {
-            checkpoint_segment_locked(entry);
-          } catch (...) {
-            IW_LOG(kWarn) << "checkpoint after failed journal append on "
-                          << name << " also failed";
-          }
-          throw;
-        }
-      }
-      // Replicate before ack: the commit is only acknowledged once the
-      // configured replication factor has journaled it, so a primary crash
-      // after this point cannot lose it (the promoted replica has it).
-      if (options_.replicator != nullptr && new_version != old_version) {
-        try {
-          if (packed_ok) {
-            options_.replicator->replicate(name, entry.repl_epoch,
-                                           WalRecordType::kCommit,
-                                           packed.span(), {}, true);
-          } else {
-            options_.replicator->replicate(name, entry.repl_epoch,
-                                           WalRecordType::kCommit,
-                                           {head, sizeof head}, diff_bytes);
-          }
-        } catch (...) {
-          // Applied and locally journaled, but the factor did not confirm
-          // in time (or this server was fenced as deposed). Fail the ack
-          // and free the segment; the record stays queued on the links, so
-          // the client's retried commit lands *after* it in stream order —
-          // no replica ever sees a version gap.
+          // Not durable, or the factor did not confirm in time (or this
+          // server was fenced as deposed): fail the ack and free the
+          // segment. A record already streamed stays queued on the links,
+          // so the client's retried commit lands *after* it in stream
+          // order — no replica ever sees a version gap.
           entry.writer = 0;
           entry.writer_cv.notify_all();
           throw;
@@ -922,23 +836,14 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
         // the compressed-envelope flag. Decode once for application; the
         // encoded bytes are journaled unchanged so the whole chain stores
         // the identical record.
-        uint8_t tag = in.read_u8();
-        const uint8_t masked = tag & ~kPayloadCompressedTagBit;
+        const uint8_t tag = in.read_u8();
+        auto body = in.read_bytes(in.read_u32());
+        DecodedWalRecord rec;
         // Only types 1..4 travel the replication stream; kEpochAdopt is a
         // local lineage marker each server journals for itself.
-        if (masked < static_cast<uint8_t>(WalRecordType::kSegmentCreate) ||
-            masked > static_cast<uint8_t>(WalRecordType::kSegmentDestroy)) {
+        if (!decode_wal_record(tag, body, rec) ||
+            rec.type == WalRecordType::kEpochAdopt) {
           throw Error(ErrorCode::kProtocol, "unknown replicated record type");
-        }
-        auto rtype = static_cast<WalRecordType>(masked);
-        const bool compressed = (tag & kPayloadCompressedTagBit) != 0;
-        uint32_t len = in.read_u32();
-        auto body = in.read_bytes(len);
-        std::vector<uint8_t> decoded;
-        std::span<const uint8_t> raw = body;
-        if (compressed) {
-          decoded = decompress_record_payload(body);
-          raw = decoded;
         }
         SegmentEntry* entry = find_segment(name, true);
         std::lock_guard el(entry->mu);
@@ -949,6 +854,10 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
           }
           continue;
         }
+        // The ack promises the record survives this server's crash, so
+        // even a re-sent record skipped as already applied needs a whole
+        // journal behind it.
+        settle_journal_locked(*entry);
         if (epoch > entry->lineage_epoch) {
           // First record from a newer primary: from here this replica's
           // applied history *is* the promoted lineage; record the adoption
@@ -956,7 +865,15 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
           adopt_epoch_locked(*entry, epoch);
         }
         entry->repl_epoch = epoch;
-        apply_replicated_locked(*entry, name, rtype, body, compressed, raw);
+        if (apply_record_locked(*entry, rec.type, rec.payload)) {
+          stats_.repl_records_applied.fetch_add(1, std::memory_order_relaxed);
+          journal_locked(*entry, {rec.type, body, {}, rec.compressed});
+          // Checkpoint on the primary's period, or the journal grows
+          // without bound.
+          if (rec.type == WalRecordType::kCommit) {
+            maybe_checkpoint_locked(*entry);
+          }
+        }
         ++applied;
       }
       resp.type = MsgType::kWalAck;
@@ -1067,67 +984,96 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
   return resp;
 }
 
-void SegmentServer::apply_replicated_locked(SegmentEntry& entry,
-                                            const std::string& name,
-                                            WalRecordType type,
-                                            std::span<const uint8_t> body,
-                                            bool compressed,
-                                            std::span<const uint8_t> raw) {
-  BufReader in(raw.data(), raw.size());
-  bool mutated = false;
+void SegmentServer::publish_locked(SegmentEntry& entry,
+                                   const std::string& name, WalRecordType type,
+                                   std::span<const uint8_t> head,
+                                   std::span<const uint8_t> body) {
+  if (entry.wal == nullptr && options_.replicator == nullptr) return;
+  Buffer packed;
+  EncodedRecord rec{type, head, body};
+  if (options_.compress_payloads &&
+      compress_record_payload(head, body, packed)) {
+    rec = {type, packed.span(), {}, true};
+  }
+  if (type == WalRecordType::kCommit) {
+    stats_.commit_raw_bytes.fetch_add(head.size() + body.size(),
+                                      std::memory_order_relaxed);
+    stats_.commit_stored_bytes.fetch_add(rec.head.size() + rec.body.size(),
+                                         std::memory_order_relaxed);
+    stats_.commits_compressed.fetch_add(rec.compressed ? 1 : 0,
+                                        std::memory_order_relaxed);
+  }
+  auto stream = [&] {
+    if (options_.replicator != nullptr) {
+      options_.replicator->replicate(name, entry.repl_epoch, rec.type,
+                                     rec.head, rec.body, rec.compressed);
+    }
+  };
+  try {
+    journal_locked(entry, rec);
+  } catch (...) {
+    // Not durable here, but applied: the replicas must still receive it,
+    // or the next record would reach them across a gap.
+    stream();
+    throw;
+  }
+  stream();
+}
+
+void SegmentServer::journal_locked(SegmentEntry& entry,
+                                   const EncodedRecord& rec) {
+  if (entry.wal == nullptr) return;
+  settle_journal_locked(entry);
+  try {
+    entry.wal->append(rec.type, rec.head, rec.body, rec.compressed);
+  } catch (const std::exception& e) {
+    // The record is applied in memory but missing from the journal, which
+    // may also end in torn bytes that would swallow every later record at
+    // replay. A checkpoint covers the record and cuts the journal clean;
+    // once it lands the record is durable after all.
+    IW_LOG(kWarn) << "journal append on " << entry.store->name()
+                  << " failed (" << e.what() << "); checkpointing";
+    settle_journal_locked(entry);
+  }
+}
+
+void SegmentServer::settle_journal_locked(SegmentEntry& entry) {
+  if (entry.wal != nullptr && entry.wal->needs_checkpoint()) {
+    checkpoint_segment_locked(entry);
+  }
+}
+
+bool SegmentServer::apply_record_locked(SegmentEntry& entry,
+                                        WalRecordType type,
+                                        std::span<const uint8_t> payload) {
+  BufReader in(payload.data(), payload.size());
   switch (type) {
-    case WalRecordType::kSegmentCreate:
-      // find_segment(create) already materialized the segment; the record
-      // is still journaled below so a recovering replica has the anchor.
-      mutated = entry.store->version() == 0 && entry.store->type_count() == 0;
-      break;
+    case WalRecordType::kSegmentCreate: {
+      std::string recorded = in.read_lp_string();
+      if (recorded != entry.store->name()) {
+        throw Error(ErrorCode::kProtocol,
+                    "record names segment '" + recorded + "'");
+      }
+      return false;  // the entry itself is the segment's birth
+    }
     case WalRecordType::kRegisterType: {
       uint32_t serial = in.read_u32();
-      auto graph = in.read_bytes(in.remaining());
-      if (serial <= entry.store->type_count()) break;  // re-sent batch
-      uint32_t got = entry.store->register_type(graph);
-      if (got != serial) {
-        throw Error(ErrorCode::kProtocol,
-                    "replicated type serial gap on '" + name + "' (stream " +
-                        std::to_string(serial) + ", store assigned " +
-                        std::to_string(got) + ")");
-      }
-      mutated = true;
-      break;
+      return entry.store->register_type_at(serial,
+                                           in.read_bytes(in.remaining()));
     }
     case WalRecordType::kCommit: {
       uint32_t version = in.read_u32();
-      auto diff = in.read_bytes(in.remaining());
-      if (version <= entry.store->version()) break;  // re-sent batch
-      uint32_t got = entry.store->apply_diff(diff);
-      if (got != version) {
-        throw Error(ErrorCode::kProtocol,
-                    "replicated version gap on '" + name + "' (stream v" +
-                        std::to_string(version) + ", store reached v" +
-                        std::to_string(got) + ")");
-      }
-      mutated = true;
-      break;
+      return entry.store->apply_diff_at(version, in.read_bytes(in.remaining()));
     }
     case WalRecordType::kSegmentDestroy:
-      entry.store = std::make_unique<SegmentStore>(name, options_.store);
-      mutated = true;
-      break;
+      entry.store =
+          std::make_unique<SegmentStore>(entry.store->name(), options_.store);
+      return true;
     case WalRecordType::kEpochAdopt:
-      // Never travels the replication stream (the kWalAppend handler
-      // rejects it): each server journals its own lineage markers.
-      break;
+      entry.lineage_epoch = std::max(entry.lineage_epoch, in.read_u32());
+      return false;
   }
-  if (!mutated) return;
-  stats_.repl_records_applied.fetch_add(1, std::memory_order_relaxed);
-  // Journal before the batch is acked: the ack tells the primary this
-  // record survives *this* server's crash too, which is exactly what the
-  // primary promises its client. The encoded bytes go in verbatim —
-  // compression was the primary's decision and is inherited, never redone.
-  if (entry.wal != nullptr) entry.wal->append(type, body, {}, compressed);
-  // A replica journals every replicated commit, so it checkpoints on the
-  // same period as a primary; otherwise its journal grows without bound.
-  if (type == WalRecordType::kCommit) maybe_checkpoint_locked(entry);
+  return false;
 }
 
 void SegmentServer::set_node_identity(std::string id, std::string address) {
@@ -1185,13 +1131,7 @@ Frame SegmentServer::serve_sync_request(SessionId session, BufReader& in) {
       // equal-position requester gets an empty body.
       try {
         if (have_version != version || have_types != types) {
-          tail.append_u32(types - have_types);
-          for (uint32_t serial = have_types + 1; serial <= types; ++serial) {
-            auto graph = entry.store->type_graph(serial);
-            tail.append_u32(serial);
-            tail.append_u32(static_cast<uint32_t>(graph.size()));
-            tail.append(graph.data(), graph.size());
-          }
+          entry.store->append_type_graphs(have_types, tail);
           entry.store->collect_fold_history(have_version, tail);
           auto diff = entry.store->collect_diff(have_version);
           tail.append(diff->data(), diff->size());
@@ -1330,17 +1270,10 @@ uint32_t SegmentServer::backfill_segment(const std::string& name,
         uint32_t new_types = tin.read_u32();
         for (uint32_t i = 0; i < new_types; ++i) {
           uint32_t serial = tin.read_u32();
-          uint32_t len = tin.read_u32();
-          auto graph = tin.read_bytes(len);
-          if (serial <= entry->store->type_count()) continue;
-          uint32_t got = entry->store->register_type(graph);
-          if (got != serial) {
-            throw Error(ErrorCode::kProtocol,
-                        "sync type serial gap on '" + name + "' (stream " +
-                            std::to_string(serial) + ", store assigned " +
-                            std::to_string(got) + ")");
+          if (entry->store->register_type_at(serial,
+                                             tin.read_bytes(tin.read_u32()))) {
+            changed = true;
           }
-          changed = true;
         }
         if (version > entry->store->version()) {
           uint32_t got = entry->store->apply_fold(version, tin);
@@ -1463,76 +1396,6 @@ void SegmentServer::checkpoint() {
   }
 }
 
-uint64_t SegmentServer::replay_wal_records(
-    const std::string& name, std::unique_ptr<SegmentStore>& store,
-    const WriteAheadLog::Replay& replay, uint32_t* lineage_epoch) {
-  uint64_t applied_end = 0;
-  uint64_t applied = 0;
-  for (const WriteAheadLog::Record& rec : replay.records) {
-    try {
-      BufReader in(rec.payload.data(), rec.payload.size());
-      switch (rec.type) {
-        case WalRecordType::kSegmentCreate: {
-          std::string recorded = in.read_lp_string();
-          if (recorded != name) {
-            throw Error(ErrorCode::kProtocol,
-                        "journal names segment '" + recorded + "'");
-          }
-          break;
-        }
-        case WalRecordType::kRegisterType: {
-          uint32_t serial = in.read_u32();
-          auto graph = in.read_bytes(in.remaining());
-          if (serial <= store->type_count()) break;  // already in snapshot
-          uint32_t got = store->register_type(graph);
-          if (got != serial) {
-            throw Error(ErrorCode::kProtocol,
-                        "type serial gap (journal " + std::to_string(serial) +
-                            ", store assigned " + std::to_string(got) + ")");
-          }
-          break;
-        }
-        case WalRecordType::kCommit: {
-          uint32_t version = in.read_u32();
-          auto diff = in.read_bytes(in.remaining());
-          // At or below the snapshot: the checkpoint already contains this
-          // commit (the crash-between-checkpoint-and-truncate window).
-          if (version <= store->version()) break;
-          uint32_t got = store->apply_diff(diff);
-          if (got != version) {
-            throw Error(ErrorCode::kProtocol,
-                        "version gap (journal v" + std::to_string(version) +
-                            ", store reached v" + std::to_string(got) + ")");
-          }
-          break;
-        }
-        case WalRecordType::kSegmentDestroy:
-          store = std::make_unique<SegmentStore>(name, options_.store);
-          break;
-        case WalRecordType::kEpochAdopt: {
-          uint32_t epoch = in.read_u32();
-          if (lineage_epoch != nullptr) {
-            *lineage_epoch = std::max(*lineage_epoch, epoch);
-          }
-          break;
-        }
-      }
-    } catch (const std::exception& e) {
-      // A record that cannot be applied (version gap after a quarantined
-      // checkpoint, malformed payload) ends replay; everything after it
-      // depends on state we do not have. The prefix already applied is
-      // kept — the journal is truncated to match it.
-      IW_LOG(kWarn) << "journal replay for " << name << " stopped after "
-                    << applied << " records: " << e.what();
-      break;
-    }
-    applied_end = rec.end_offset;
-    ++applied;
-  }
-  stats_.wal_replayed_records.fetch_add(applied, std::memory_order_relaxed);
-  return applied_end;
-}
-
 void SegmentServer::recover() {
   if (options_.checkpoint_dir.empty()) return;
   namespace fs = std::filesystem;
@@ -1624,13 +1487,28 @@ void SegmentServer::recover() {
     }
     SegmentEntry& entry = *it->second;
     std::lock_guard el(entry.mu);
-    uint32_t lineage = 1;
-    uint64_t resume =
-        replay_wal_records(it->first, entry.store, replay, &lineage);
-    // A recovered replica resumes fenced at the lineage it had adopted: a
-    // deposed primary that restarts must not believe it still owns the
-    // segment's newest epoch.
-    entry.lineage_epoch = std::max(entry.lineage_epoch, lineage);
+    uint64_t resume = 0;
+    uint64_t applied = 0;
+    for (const WriteAheadLog::Record& rec : replay.records) {
+      try {
+        apply_record_locked(entry, rec.type, rec.payload);
+      } catch (const std::exception& e) {
+        // A record that cannot be applied (version gap after a quarantined
+        // checkpoint, malformed payload) ends replay; everything after it
+        // depends on state we do not have. The prefix already applied is
+        // kept — the journal is reopened at its end.
+        IW_LOG(kWarn) << "journal replay for " << it->first
+                      << " stopped after " << applied << " records: "
+                      << e.what();
+        break;
+      }
+      resume = rec.end_offset;
+      ++applied;
+    }
+    stats_.wal_replayed_records.fetch_add(applied, std::memory_order_relaxed);
+    // A recovered replica resumes fenced at the lineage it had adopted
+    // (replayed kEpochAdopt records): a deposed primary that restarts must
+    // not believe it still owns the segment's newest epoch.
     entry.repl_epoch = std::max(entry.repl_epoch, entry.lineage_epoch);
     if (!wal_on()) continue;  // journal preserved but not extended
     if (resume >= WriteAheadLog::kHeaderSize) {

@@ -336,18 +336,41 @@ class SegmentServer : public ServerCore {
   /// Counts one commit toward `checkpoint_every` and checkpoints the
   /// segment when the period is reached. Caller holds entry.mu.
   void maybe_checkpoint_locked(SegmentEntry& entry);
-  /// Applies one record streamed by a primary (kWalAppend) to the store
-  /// and journals it — the replica half of journal-before-ack. Idempotent:
-  /// a commit at or below the store version (a re-sent batch after a link
-  /// reconnect) is skipped. `body` is the on-wire (possibly compressed)
-  /// payload and is journaled verbatim with `compressed` on the tag, so
-  /// the primary's encoding is inherited; `raw` is the decoded payload the
-  /// record is applied from. Caller holds entry.mu and has already passed
-  /// the epoch fence.
-  void apply_replicated_locked(SegmentEntry& entry, const std::string& name,
-                               WalRecordType type,
-                               std::span<const uint8_t> body, bool compressed,
-                               std::span<const uint8_t> raw);
+
+  // --- the record path (journal and replication stream) ---
+  /// A record in its stored encoding: the raw payload as `head` ++ `body`,
+  /// or a compress_record_payload envelope in `head` when `compressed`.
+  struct EncodedRecord {
+    WalRecordType type;
+    std::span<const uint8_t> head;
+    std::span<const uint8_t> body;
+    bool compressed = false;
+  };
+  /// The primary's one encode step for a record it has just applied: makes
+  /// the compression decision once, then feeds the identical bytes to
+  /// journal_locked and to the replicator, so every copy down the chain
+  /// stores the same record. Caller holds entry.mu.
+  void publish_locked(SegmentEntry& entry, const std::string& name,
+                      WalRecordType type, std::span<const uint8_t> head,
+                      std::span<const uint8_t> body);
+  /// The only place a type or commit record reaches a journal, on a primary
+  /// or a replica. Appends `rec` verbatim; when an append fails, or an
+  /// earlier one did, a checkpoint re-anchors the journal first (see
+  /// settle_journal_locked). Returns once the record is durable; throws
+  /// (kIo) when it is not. Caller holds entry.mu.
+  void journal_locked(SegmentEntry& entry, const EncodedRecord& rec);
+  /// Checkpoints the segment when its journal lost an append
+  /// (WriteAheadLog::needs_checkpoint): the snapshot covers what the
+  /// journal is missing and its truncate drops any torn bytes. Throws while
+  /// the checkpoint fails. Caller holds entry.mu.
+  void settle_journal_locked(SegmentEntry& entry);
+  /// The one applier of a decoded record, for journal replay and the
+  /// replication stream alike. A type or commit at or below the store's
+  /// position is skipped, a gap throws kProtocol (SegmentStore::*_at), and
+  /// kEpochAdopt raises the lineage. Returns true when the store changed.
+  /// Caller holds entry.mu.
+  bool apply_record_locked(SegmentEntry& entry, WalRecordType type,
+                           std::span<const uint8_t> payload);
 
   // --- self-healing replication plumbing ---
   /// Serves one kSyncRequest: registers the requester's link paused (first
@@ -376,16 +399,6 @@ class SegmentServer : public ServerCore {
   /// Opens a brand-new journal for `entry` (discarding any stale log file
   /// left by an earlier incarnation) and records the segment's birth.
   void open_fresh_wal(SegmentEntry& entry, const std::string& name);
-  /// Applies replayed journal records to `store` in order, stopping at the
-  /// first record that cannot be applied. Returns the end offset of the
-  /// last applied record (so the reopened log is truncated to exactly the
-  /// applied prefix) and counts applied records into the stats. When
-  /// `lineage_epoch` is non-null it receives the newest kEpochAdopt value
-  /// in the applied prefix (untouched when the journal has none).
-  uint64_t replay_wal_records(const std::string& name,
-                              std::unique_ptr<SegmentStore>& store,
-                              const WriteAheadLog::Replay& replay,
-                              uint32_t* lineage_epoch = nullptr);
 
   Options options_;
   /// Aggregated append/fsync counters shared by every segment's journal.

@@ -23,6 +23,24 @@ constexpr size_t kHeaderBytes = WriteAheadLog::kHeaderSize;
 
 }  // namespace
 
+bool decode_wal_record(uint8_t tag, std::span<const uint8_t> stored,
+                       DecodedWalRecord& out) {
+  const uint8_t type = tag & ~kPayloadCompressedTagBit;
+  if (type < static_cast<uint8_t>(WalRecordType::kSegmentCreate) ||
+      type > static_cast<uint8_t>(WalRecordType::kEpochAdopt)) {
+    return false;
+  }
+  out.type = static_cast<WalRecordType>(type);
+  out.compressed = (tag & kPayloadCompressedTagBit) != 0;
+  if (out.compressed) {
+    out.inflated = decompress_record_payload(stored);
+    out.payload = out.inflated;
+  } else {
+    out.payload = stored;
+  }
+  return true;
+}
+
 WriteAheadLog::Replay WriteAheadLog::replay(const std::string& path) {
   Replay out;
   int fd = ::open(path.c_str(), O_RDONLY);
@@ -79,23 +97,19 @@ WriteAheadLog::Replay WriteAheadLog::replay(const std::string& path) {
   uint64_t accepted_end = kHeaderBytes;
   ScannedRecord sr;
   while (scanner.next(&sr) == RecordScanner::Status::kRecord) {
-    const uint8_t type = sr.tag & ~kPayloadCompressedTagBit;
-    if (type < static_cast<uint8_t>(WalRecordType::kSegmentCreate) ||
-        type > static_cast<uint8_t>(WalRecordType::kEpochAdopt)) {
-      break;  // unknown type: record boundaries beyond here are unsafe
+    DecodedWalRecord decoded;
+    try {
+      if (!decode_wal_record(sr.tag, sr.payload, decoded)) break;
+    } catch (const Error&) {
+      break;  // corrupt envelope inside a CRC-clean frame: stop here
     }
     Record rec;
-    rec.type = static_cast<WalRecordType>(type);
-    rec.compressed = (sr.tag & kPayloadCompressedTagBit) != 0;
-    if (rec.compressed) {
-      try {
-        rec.payload = decompress_record_payload(sr.payload);
-      } catch (const Error&) {
-        break;  // corrupt envelope inside a CRC-clean frame: stop here
-      }
-    } else {
-      rec.payload.assign(sr.payload.begin(), sr.payload.end());
-    }
+    rec.type = decoded.type;
+    rec.compressed = decoded.compressed;
+    rec.payload = decoded.compressed
+                      ? std::move(decoded.inflated)
+                      : std::vector<uint8_t>(decoded.payload.begin(),
+                                             decoded.payload.end());
     rec.stored_bytes = sr.end_offset - accepted_end;
     rec.end_offset = sr.end_offset;
     accepted_end = sr.end_offset;
@@ -171,6 +185,13 @@ void WriteAheadLog::fdatasync_now() {
 
 void WriteAheadLog::append(WalRecordType type, std::span<const uint8_t> head,
                            std::span<const uint8_t> body, bool compressed) {
+  if (needs_checkpoint_) {
+    throw Error(ErrorCode::kIo, "journal " + path_ +
+                                    " lost an append and needs a checkpoint");
+  }
+  // Set until this append has fully completed: any throw below may leave a
+  // partial record behind.
+  needs_checkpoint_ = true;
   const uint8_t tag = static_cast<uint8_t>(type) |
                       (compressed ? kPayloadCompressedTagBit : uint8_t{0});
   uint8_t prefix[kFramedPrefixBytes];
@@ -243,6 +264,7 @@ void WriteAheadLog::append(WalRecordType type, std::span<const uint8_t> head,
       fdatasync_now();
       break;
   }
+  needs_checkpoint_ = false;
 }
 
 void WriteAheadLog::sync() {
@@ -255,6 +277,7 @@ void WriteAheadLog::truncate_after_checkpoint() {
   }
   if (::lseek(fd_, 0, SEEK_END) < 0) throw_errno("lseek(" + path_ + ")");
   dirty_ = false;
+  needs_checkpoint_ = false;
   fdatasync_fd(fd_, path_);
   if (options_.counters != nullptr) {
     options_.counters->fsyncs.fetch_add(1, std::memory_order_relaxed);

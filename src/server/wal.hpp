@@ -68,6 +68,24 @@ enum class WalRecordType : uint8_t {
                        ///< lineage matches the promoted one.
 };
 
+/// A stored record decoded for application: its type, whether the stored
+/// payload was a compressed envelope, and the raw payload — the stored
+/// bytes themselves, or the envelope inflated into `inflated`.
+struct DecodedWalRecord {
+  WalRecordType type = WalRecordType::kSegmentCreate;
+  bool compressed = false;
+  std::span<const uint8_t> payload;
+  std::vector<uint8_t> inflated;
+};
+
+/// The one decoder of a stored record's tag and payload, shared by journal
+/// replay and the replication stream. Returns false when the tag names no
+/// WalRecordType; each caller has its own policy for that (replay stops,
+/// the stream rejects the batch). Throws Error(kCorruptPayload) when a
+/// flagged payload does not decompress.
+bool decode_wal_record(uint8_t tag, std::span<const uint8_t> stored,
+                       DecodedWalRecord& out);
+
 /// Journal counters; SegmentServer::Stats reports them as wal_<name>.
 #define IW_WAL_COUNTERS(X) \
   X(records_appended)      \
@@ -155,8 +173,16 @@ class WriteAheadLog {
   /// whatever encoding it is handed and only flags the tag; it never
   /// compresses (or re-compresses) itself, so a replica journaling a
   /// primary's stream inherits the primary's encoding byte for byte.
+  /// A failed append may leave a partial record that would swallow every
+  /// later one at replay, so from then on append throws Error(kIo) until
+  /// truncate_after_checkpoint() cuts the log back (see needs_checkpoint).
   void append(WalRecordType type, std::span<const uint8_t> head,
               std::span<const uint8_t> body = {}, bool compressed = false);
+
+  /// True after an append failed: the log may end in torn bytes and lacks
+  /// a record its owner already applied. Only a checkpoint, whose snapshot
+  /// covers that record and whose truncate drops the torn bytes, clears it.
+  bool needs_checkpoint() const noexcept { return needs_checkpoint_; }
 
   /// fdatasyncs now if any append since the last flush; no-op otherwise.
   void sync();
@@ -177,6 +203,7 @@ class WriteAheadLog {
   Options options_;
   int fd_ = -1;
   bool dirty_ = false;
+  bool needs_checkpoint_ = false;
   std::chrono::steady_clock::time_point last_flush_{};
 };
 

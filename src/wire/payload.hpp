@@ -1,8 +1,8 @@
 // Shared record codec pipeline: encode → optional LZ compression → CRC32C
 // frame. Every byte path that persists or ships diff records — wire update
-// frames, the write-ahead log, the replication stream, and checkpoint
-// chains — encodes and decodes through this one module, so the framing and
-// compression rules exist in exactly one place.
+// frames, the write-ahead log and the replication stream — encodes and
+// decodes through this one module, so the framing and compression rules
+// exist in exactly one place.
 //
 // Three layers, separable because the byte paths compose them differently:
 //
@@ -25,10 +25,9 @@
 //
 //  3. CRC32C record framing: `u32 body_len | u32 crc | body` where
 //     `body := u8 tag | payload` and the CRC covers the whole body. This is
-//     the WAL's on-disk record format, reused verbatim by incremental
-//     checkpoint chains; RecordScanner is the one decoder (torn or corrupt
-//     tails are reported, never thrown) and build_record_prefix /
-//     append_framed_record are the one encoder.
+//     the WAL's on-disk record format; RecordScanner is the one decoder
+//     (torn or corrupt tails are reported, never thrown) and
+//     build_record_prefix / append_framed_record are the one encoder.
 #pragma once
 
 #include <cstdint>
@@ -69,8 +68,7 @@ std::vector<uint8_t> lz_decompress(std::span<const uint8_t> comp,
 // ---------------------------------------------------------------------------
 
 /// Set on a framed record's tag byte when its payload is compressed. The
-/// low 7 bits keep their original meaning (WalRecordType, chain record
-/// kind), so old readers that mask nothing see an unknown type and stop —
+/// low 7 bits keep their original meaning (WalRecordType), so old readers that mask nothing see an unknown type and stop —
 /// they never misparse compressed bytes as a diff.
 inline constexpr uint8_t kPayloadCompressedTagBit = 0x80;
 
@@ -147,10 +145,9 @@ struct ScannedRecord {
   uint64_t end_offset = 0;  ///< file offset just past this record
 };
 
-/// Streaming decoder over a run of framed records (a WAL journal body, a
-/// checkpoint chain body). Corruption and truncation surface as kTorn —
-/// the caller decides whether that means "truncate the tail" (WAL) or
-/// "quarantine the chain" (checkpoints); the scanner never throws.
+/// Streaming decoder over a run of framed records (a WAL journal body).
+/// Corruption and truncation surface as kTorn — the caller decides what
+/// that means (the WAL truncates the tail); the scanner never throws.
 class RecordScanner {
  public:
   /// `data` is the byte run after any file header; `base_offset` is that

@@ -5,7 +5,9 @@
 //     truncation, corruption stopping replay, checkpoint truncation.
 //  2. WalRecovery — whole-server recovery composition: journal-only
 //     recovery, snapshot+tail replay, the crash window between a
-//     checkpoint landing and its journal truncate, and the stats surface.
+//     checkpoint landing and its journal truncate, the stats surface,
+//     journal appends that fail partway (a full disk) on a primary and on
+//     a replica, and a replica journaling the primary's records verbatim.
 //  3. CrashMatrix — the real thing: fork a SegmentServer, let a seeded
 //     WalCrashSchedule SIGKILL it at an exact point inside an append
 //     (short header / mid-record / before sync), restart in the parent,
@@ -17,21 +19,29 @@
 //     guarantee.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
+#include <csignal>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <thread>
 #include <unordered_set>
 #include <vector>
 
 #include "interweave/interweave.hpp"
+#include "server/replication.hpp"
 #include "server/wal.hpp"
 #include "wire/payload.hpp"
 
@@ -495,6 +505,259 @@ TEST_F(WalRecovery, DisabledWalWritesNoJournal) {
   run_commits(server, 1, 3);
   EXPECT_EQ(server.stats().wal_records_appended, 0u);
   EXPECT_FALSE(fs::exists(dir_ / "host%2Fdurable.iwlog"));
+}
+
+/// Caps the size of every file this process writes, with SIGXFSZ ignored:
+/// a write across the cap comes up short and the next one fails with EFBIG,
+/// the shape of a disk filling up mid-append. Lifted on destruction.
+class FileSizeCap {
+ public:
+  explicit FileSizeCap(uint64_t bytes)
+      : old_handler_(std::signal(SIGXFSZ, SIG_IGN)) {
+    EXPECT_EQ(::getrlimit(RLIMIT_FSIZE, &saved_), 0);
+    rlimit tight = saved_;
+    tight.rlim_cur = std::min<rlim_t>(bytes, saved_.rlim_max);
+    EXPECT_EQ(::setrlimit(RLIMIT_FSIZE, &tight), 0);
+  }
+  ~FileSizeCap() {
+    ::setrlimit(RLIMIT_FSIZE, &saved_);
+    std::signal(SIGXFSZ, old_handler_);
+  }
+  FileSizeCap(const FileSizeCap&) = delete;
+  FileSizeCap& operator=(const FileSizeCap&) = delete;
+
+ private:
+  void (*old_handler_)(int);
+  rlimit saved_{};
+};
+
+/// A type the workload's "d" block does not use.
+const TypeDescriptor* extra_type(TypeRegistry& types) {
+  return types.array_of(types.primitive(PrimitiveKind::kFloat64), 8);
+}
+
+/// Registers extra_type with a bare kRegisterType frame, as a client does
+/// just before allocating a block of it.
+void register_extra_type(SegmentServer& server) {
+  InProcChannel ch(server);
+  TypeRegistry types(Platform::native().rules);
+  Buffer req(64);
+  req.append_lp_string(kSegName);
+  TypeCodec::encode_graph(extra_type(types), req);
+  ch.call(MsgType::kRegisterType, std::move(req));
+}
+
+/// Allocates block "e" of extra_type in one commit through a fresh client
+/// (registering the type again first, as any client does); returns the
+/// acknowledged version.
+uint32_t commit_extra_block(SegmentServer& server) {
+  Client c([&](const std::string&) {
+    return std::make_shared<InProcChannel>(server);
+  });
+  ClientSegment* seg = c.open_segment(kSegName);
+  c.write_lock(seg);
+  c.malloc_block(seg, extra_type(c.types()), "e");
+  c.write_unlock(seg);
+  return seg->version();
+}
+
+bool has_extra_block(SegmentServer& server) {
+  Client c([&](const std::string&) {
+    return std::make_shared<InProcChannel>(server);
+  });
+  ClientSegment* seg = c.open_segment(kSegName, false);
+  c.read_lock(seg);
+  const bool found = seg->heap().find_by_name("e") != nullptr;
+  c.read_unlock(seg);
+  return found;
+}
+
+TEST_F(WalRecovery, FailedAppendReanchoredByCheckpointLosesNoAck) {
+  // The journal has outgrown a snapshot. A type registration's append
+  // comes up short against the cap, leaving torn bytes; the re-anchor
+  // checkpoint fits under the cap, lands, and cuts them off, so the
+  // registration is durable and acknowledged, and the commit after it is
+  // not swallowed by the torn bytes at replay.
+  const fs::path journal = dir_ / "host%2Fdurable.iwlog";
+  uint32_t acked = 0;
+  {
+    SegmentServer server(server_options());
+    run_commits(server, 1, 60);
+    const uint64_t cap = fs::file_size(journal) + 8;
+    {
+      FileSizeCap capped(cap);
+      EXPECT_NO_THROW(register_extra_type(server));
+    }
+    EXPECT_EQ(server.stats().checkpoints_written, 1u);
+    EXPECT_LT(fs::file_size(dir_ / "host%2Fdurable.iwseg"), cap);
+    acked = commit_extra_block(server);
+  }
+  SegmentServer revived(server_options());
+  revived.recover();
+  EXPECT_EQ(revived.stats().wal_truncated_bytes, 0u);
+  EXPECT_EQ(revived.segment_version(kSegName), acked);
+  expect_converged(revived, 60);
+  EXPECT_TRUE(has_extra_block(revived));
+}
+
+TEST_F(WalRecovery, FailedAppendAndCheckpointRetryBeforeNextRecord) {
+  // The journal is smaller than a snapshot, so the re-anchor checkpoint
+  // fails under the cap too: the registration answers kIo. Once the cap
+  // lifts, the next journaled record (the commit of a block of that very
+  // type) checkpoints first, so neither the type nor the commit is lost.
+  const fs::path journal = dir_ / "host%2Fdurable.iwlog";
+  uint32_t acked = 0;
+  {
+    SegmentServer server(server_options());
+    run_commits(server, 1, 8);
+    server.checkpoint();
+    run_commits(server, 9, 2);
+    const uint64_t cap = fs::file_size(journal) + 8;
+    ASSERT_GT(fs::file_size(dir_ / "host%2Fdurable.iwseg"), cap);
+    {
+      FileSizeCap capped(cap);
+      try {
+        register_extra_type(server);
+        ADD_FAILURE() << "registration acknowledged without a durable record";
+      } catch (const Error& e) {
+        EXPECT_EQ(e.code(), ErrorCode::kIo);
+      }
+    }
+    acked = commit_extra_block(server);
+    EXPECT_EQ(server.stats().checkpoints_written, 2u);
+  }
+  SegmentServer revived(server_options());
+  revived.recover();
+  EXPECT_EQ(revived.segment_version(kSegName), acked);
+  expect_converged(revived, 10);
+  EXPECT_TRUE(has_extra_block(revived));
+}
+
+TEST_F(WalRecovery, ReplicaFailedAppendLosesNoAck) {
+  // Only the replica writes files (the primary has no checkpoint
+  // directory), so the cap bites the replica's journal alone. Its append
+  // of a streamed commit comes up short and the re-anchor checkpoint does
+  // not fit either, so it must refuse the ack — including for the
+  // primary's re-send, which finds the commit already applied — until a
+  // checkpoint lands. Later commits must not vanish behind torn bytes.
+  auto replica = std::make_unique<SegmentServer>(server_options());
+  server::WalReplicator::Options wopts;
+  wopts.replication_factor = 1;
+  auto replicator = std::make_shared<server::WalReplicator>(wopts);
+  replicator->add_replica("replica", [&replica] {
+    return std::make_shared<InProcChannel>(*replica);
+  });
+  SegmentServer::Options popts;
+  popts.replicator = replicator;
+  SegmentServer primary(popts);
+
+  run_commits(primary, 1, 8);
+  replica->checkpoint();
+  run_commits(primary, 9, 2);
+  const fs::path journal = dir_ / "host%2Fdurable.iwlog";
+  const uint64_t cap = fs::file_size(journal) + 8;
+  ASSERT_GT(fs::file_size(dir_ / "host%2Fdurable.iwseg"), cap);
+  {
+    std::optional<FileSizeCap> capped(std::in_place, cap);
+    std::string writer_error;
+    std::atomic<bool> acked{false};
+    std::thread writer([&primary, &writer_error, &acked] {
+      try {
+        run_commits(primary, 11, 1);
+        acked = true;
+      } catch (const std::exception& e) {
+        writer_error = e.what();
+      }
+    });
+    // The first send fails and so must the re-send. Wait for both, well
+    // inside the replicator's 5 s ack timeout, so the commit can still be
+    // acknowledged once the cap lifts.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (replicator->stats().link_errors < 2 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    EXPECT_GE(replicator->stats().link_errors, 2u);
+    EXPECT_FALSE(acked) << "acknowledged a commit no journal holds";
+    capped.reset();
+    writer.join();
+    EXPECT_EQ(writer_error, "");
+  }
+  run_commits(primary, 12, 1);
+  const uint32_t acked = primary.segment_version(kSegName);
+  replicator->shutdown();
+  replica.reset();
+
+  SegmentServer revived(server_options());
+  revived.recover();
+  EXPECT_EQ(revived.stats().wal_truncated_bytes, 0u);
+  EXPECT_EQ(revived.segment_version(kSegName), acked);
+  expect_converged(revived, 12);
+}
+
+TEST_F(WalRecovery, ReplicaJournalsPrimaryRecordsVerbatim) {
+  // Compression is the primary's decision, made once per record; a
+  // replica journals the bytes it is streamed and never re-encodes them.
+  // With a workload that mixes compressible and small (raw) commits, the
+  // two journals must hold the same records, encoding included.
+  ::unsetenv("IW_COMPRESS");
+  SegmentServer::Options ropts = server_options();
+  ropts.checkpoint_dir = (dir_ / "replica").string();
+  ropts.compress_payloads = true;
+  SegmentServer replica(ropts);
+  server::WalReplicator::Options wopts;
+  wopts.replication_factor = 1;
+  auto replicator = std::make_shared<server::WalReplicator>(wopts);
+  replicator->add_replica("replica", [&replica] {
+    return std::make_shared<InProcChannel>(replica);
+  });
+  SegmentServer::Options popts = server_options();
+  popts.checkpoint_dir = (dir_ / "primary").string();
+  popts.compress_payloads = true;
+  popts.replicator = replicator;
+  SegmentServer primary(popts);
+  {
+    Client c([&primary](const std::string&) {
+      return std::make_shared<InProcChannel>(primary);
+    });
+    constexpr uint32_t kWide = 512;
+    const TypeDescriptor* arr =
+        c.types().array_of(c.types().primitive(PrimitiveKind::kInt32), kWide);
+    ClientSegment* seg = c.open_segment(kSegName);
+    c.write_lock(seg);
+    auto* data = static_cast<int32_t*>(c.malloc_block(seg, arr, "w"));
+    c.write_unlock(seg);
+    for (int step = 1; step <= 12; ++step) {
+      c.write_lock(seg);
+      if (step % 3 == 0) {
+        data[step] = step;  // a few bytes: below the compression floor
+      } else {
+        for (uint32_t u = 0; u < kWide; ++u) data[u] = step;  // runs
+      }
+      c.write_unlock(seg);
+    }
+  }
+  replicator->shutdown();
+  auto primary_log = WriteAheadLog::replay(
+      (dir_ / "primary" / "host%2Fdurable.iwlog").string());
+  auto replica_log = WriteAheadLog::replay(
+      (dir_ / "replica" / "host%2Fdurable.iwlog").string());
+  ASSERT_FALSE(primary_log.torn_tail);
+  ASSERT_FALSE(replica_log.torn_tail);
+  ASSERT_EQ(replica_log.records.size(), primary_log.records.size());
+  size_t compressed = 0;
+  for (size_t i = 0; i < primary_log.records.size(); ++i) {
+    const auto& want = primary_log.records[i];
+    const auto& got = replica_log.records[i];
+    EXPECT_EQ(got.type, want.type) << "record " << i;
+    EXPECT_EQ(got.compressed, want.compressed) << "record " << i;
+    EXPECT_EQ(got.stored_bytes, want.stored_bytes) << "record " << i;
+    EXPECT_EQ(got.payload, want.payload) << "record " << i;
+    compressed += want.compressed;
+  }
+  EXPECT_GE(compressed, 4u);
+  EXPECT_LT(compressed, primary_log.records.size());
 }
 
 /// Minimal restartable-core proxy (the chaos test has the full-featured
