@@ -53,8 +53,9 @@
 // resulting update, over a {compression on/off} x {compressible/
 // incompressible content} matrix. Reported as JSON: the server's raw vs
 // on-the-wire update bytes (server -> client), the client's sent bytes
-// and compressed-release count (client -> server), and the reduction
-// ratio per cell.
+// and compressed-release count (client -> server), the reduction ratio,
+// how many update sections the diff cache served without compressing,
+// and the reader's read_lock p50 per cell.
 //
 // Usage: server_scaling [cycles-per-thread]   (default 2000)
 #include <arpa/inet.h>
@@ -803,10 +804,12 @@ constexpr uint32_t kUpdUnits = 16384;  // int32 units per commit (64 KiB)
 struct UpdateBytesResult {
   uint64_t commits = 0;
   uint64_t updates_compressed = 0;
+  uint64_t update_sections_reused = 0;
   uint64_t update_raw_bytes = 0;
   uint64_t update_wire_bytes = 0;
   uint64_t client_bytes_sent = 0;
   uint64_t diffs_compressed = 0;
+  double read_p50_us = 0;  ///< the reader's read_lock, update applied
 };
 
 /// One payload-wire cell: the writer commits the whole array each round
@@ -832,6 +835,7 @@ UpdateBytesResult run_update_bytes(bool compress, bool compressible,
 
   uint32_t noise = 0x9e3779b9u;
   int32_t* data = nullptr;
+  std::vector<double> read_us;
   for (int round = 0; round < rounds; ++round) {
     writer.write_lock(wseg);
     if (data == nullptr) {
@@ -848,14 +852,23 @@ UpdateBytesResult run_update_bytes(bool compress, bool compressible,
       }
     }
     writer.write_unlock(wseg);
+    auto t0 = std::chrono::steady_clock::now();
     reader.read_lock(rseg);
+    read_us.push_back(std::chrono::duration<double, std::micro>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count());
     reader.read_unlock(rseg);
   }
 
   UpdateBytesResult r;
   r.commits = static_cast<uint64_t>(rounds);
+  if (!read_us.empty()) {
+    std::sort(read_us.begin(), read_us.end());
+    r.read_p50_us = read_us[(read_us.size() - 1) / 2];
+  }
   auto ss = core.stats();
   r.updates_compressed = ss.updates_compressed;
+  r.update_sections_reused = ss.update_sections_reused;
   r.update_raw_bytes = ss.update_raw_bytes;
   r.update_wire_bytes = ss.update_wire_bytes;
   r.client_bytes_sent = writer.bytes_sent();
@@ -877,17 +890,21 @@ int run_update_bytes_main(int rounds) {
       std::printf(
           "%s  {\"bench\": \"update_bytes\", \"compress\": \"%s\", "
           "\"data\": \"%s\", \"rounds\": %d, \"commit_bytes\": %u, "
-          "\"updates_compressed\": %llu, \"update_raw_bytes\": %llu, "
+          "\"updates_compressed\": %llu, \"update_sections_reused\": %llu, "
+          "\"update_raw_bytes\": %llu, "
           "\"update_wire_bytes\": %llu, \"wire_ratio\": %.3f, "
-          "\"client_bytes_sent\": %llu, \"diffs_compressed\": %llu}",
+          "\"client_bytes_sent\": %llu, \"diffs_compressed\": %llu, "
+          "\"read_p50_us\": %.1f}",
           first ? "" : ",\n", compress ? "on" : "off",
           compressible ? "compressible" : "incompressible", rounds,
           kUpdUnits * 4,
           static_cast<unsigned long long>(r.updates_compressed),
+          static_cast<unsigned long long>(r.update_sections_reused),
           static_cast<unsigned long long>(r.update_raw_bytes),
           static_cast<unsigned long long>(r.update_wire_bytes), wire_ratio,
           static_cast<unsigned long long>(r.client_bytes_sent),
-          static_cast<unsigned long long>(r.diffs_compressed));
+          static_cast<unsigned long long>(r.diffs_compressed),
+          r.read_p50_us);
       first = false;
     }
   }

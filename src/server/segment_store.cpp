@@ -4,6 +4,7 @@
 #include <algorithm>
 
 #include "util/logging.hpp"
+#include "wire/payload.hpp"
 #include "wire/translate.hpp"
 
 namespace iw::server {
@@ -212,6 +213,12 @@ void SegmentStore::destroy_block(SvrBlock* block, uint32_t at_version) {
 }
 
 uint32_t SegmentStore::apply_diff(std::span<const uint8_t> diff_bytes) {
+  return apply_diff(WireDiff{std::make_shared<const std::vector<uint8_t>>(
+      diff_bytes.begin(), diff_bytes.end())});
+}
+
+uint32_t SegmentStore::apply_diff(WireDiff diff) {
+  const std::span<const uint8_t> diff_bytes = *diff.bytes;
   Stopwatch timer;
   BufReader in(diff_bytes.data(), diff_bytes.size());
   DiffReader reader(in);
@@ -313,9 +320,7 @@ uint32_t SegmentStore::apply_diff(std::span<const uint8_t> diff_bytes) {
   stats_.apply_ns.fetch_add(timer.elapsed_ns(), std::memory_order_relaxed);
 
   if (options_.enable_diff_cache) {
-    cache_insert(old_version, new_version,
-                 std::make_shared<const std::vector<uint8_t>>(
-                     diff_bytes.begin(), diff_bytes.end()));
+    cache_insert(old_version, new_version, std::move(diff));
   }
   return version_;
 }
@@ -356,14 +361,19 @@ void SegmentStore::append_block_update(DiffWriter& writer, SvrBlock& block,
   writer.end_block();
 }
 
+CachedDiff* SegmentStore::cached(uint32_t from_version) {
+  for (CachedDiff& c : diff_cache_) {
+    if (c.from_version == from_version && c.to_version == version_) return &c;
+  }
+  return nullptr;
+}
+
 std::shared_ptr<const std::vector<uint8_t>> SegmentStore::collect_diff(
     uint32_t from_version) {
   if (options_.enable_diff_cache) {
-    for (const CachedDiff& c : diff_cache_) {
-      if (c.from_version == from_version && c.to_version == version_) {
-        stats_.diff_cache_hits.fetch_add(1, std::memory_order_relaxed);
-        return c.bytes;
-      }
+    if (const CachedDiff* c = cached(from_version)) {
+      stats_.diff_cache_hits.fetch_add(1, std::memory_order_relaxed);
+      return c->diff.bytes;
     }
     stats_.diff_cache_misses.fetch_add(1, std::memory_order_relaxed);
   }
@@ -399,9 +409,44 @@ std::shared_ptr<const std::vector<uint8_t>> SegmentStore::collect_diff(
   stats_.bytes_collected.fetch_add(bytes->size(), std::memory_order_relaxed);
   stats_.collect_ns.fetch_add(timer.elapsed_ns(), std::memory_order_relaxed);
   if (options_.enable_diff_cache) {
-    cache_insert(from_version, version_, bytes);
+    cache_insert(from_version, version_, WireDiff{bytes});
   }
   return bytes;
+}
+
+UpdateSection SegmentStore::append_section(uint32_t from_version,
+                                           Buffer& out) {
+  const auto bytes = collect_diff(from_version);
+  CachedDiff* entry =
+      options_.enable_diff_cache ? cached(from_version) : nullptr;
+  UpdateSection section;
+  section.raw_bytes = bytes->size();
+  const size_t method_offset = out.size();
+  if (entry != nullptr && entry->diff.section_known) {
+    section.reused = true;
+    section.compressed = !entry->diff.lz_section.empty();
+    if (section.compressed) {
+      out.append(entry->diff.lz_section.data(), entry->diff.lz_section.size());
+    } else {
+      out.append_u8(payload_method::kRaw);
+      out.append(bytes->data(), bytes->size());
+    }
+  } else {
+    // The compressor measures and keeps the raw form (plus the one-byte
+    // flag) whenever the envelope would not pay.
+    out.append_u8(payload_method::kRaw);
+    out.append(bytes->data(), bytes->size());
+    section.compressed = compress_section_in_place(out, method_offset);
+    if (entry != nullptr) {
+      entry->diff.section_known = true;
+      if (section.compressed) {
+        entry->diff.lz_section.assign(out.data() + method_offset,
+                                      out.data() + out.size());
+      }
+    }
+  }
+  section.wire_bytes = out.size() - method_offset;
+  return section;
 }
 
 void SegmentStore::collect_fold_history(uint32_t from_version,
@@ -474,10 +519,9 @@ uint32_t SegmentStore::apply_fold(uint32_t to_version, BufReader& in) {
   return got;
 }
 
-void SegmentStore::cache_insert(
-    uint32_t from_version, uint32_t to_version,
-    std::shared_ptr<const std::vector<uint8_t>> bytes) {
-  diff_cache_.push_back({from_version, to_version, std::move(bytes)});
+void SegmentStore::cache_insert(uint32_t from_version, uint32_t to_version,
+                                WireDiff diff) {
+  diff_cache_.push_back({from_version, to_version, std::move(diff)});
   while (diff_cache_.size() > options_.diff_cache_entries) {
     diff_cache_.pop_front();
   }

@@ -86,11 +86,31 @@ struct FreeRecord {
   uint32_t freed_version;
 };
 
+/// A diff's bytes plus the wire section a negotiated client gets for them,
+/// so the diff is compressed at most once.
+struct WireDiff {
+  std::shared_ptr<const std::vector<uint8_t>> bytes;
+  /// The kLz section (method byte through compressed bytes) when
+  /// compression pays; empty otherwise.
+  std::vector<uint8_t> lz_section{};
+  /// Whether compressing `bytes` has been tried. With `lz_section` empty
+  /// it does not pay, and the section is kRaw.
+  bool section_known = false;
+};
+
 /// Cached wire diff between two segment versions (paper §3.3 diff caching).
 struct CachedDiff {
   uint32_t from_version;
   uint32_t to_version;
-  std::shared_ptr<const std::vector<uint8_t>> bytes;
+  WireDiff diff;
+};
+
+/// What SegmentStore::append_section wrote.
+struct UpdateSection {
+  size_t raw_bytes = 0;   ///< diff bytes before the envelope
+  size_t wire_bytes = 0;  ///< section bytes, method byte included
+  bool compressed = false;
+  bool reused = false;  ///< served from the cache without compressing
 };
 
 /// Counters a SegmentStore accumulates.
@@ -161,6 +181,11 @@ class SegmentStore {
   /// new version. Throws Error(kProtocol) on malformed input and
   /// Error(kState) when the diff's base version is not current.
   uint32_t apply_diff(std::span<const uint8_t> diff_bytes);
+  /// apply_diff for a client's commit. The cache entry takes `diff` as it
+  /// is: the bytes without a copy and, from a negotiated client, the
+  /// section its compressor chose, so no reader compresses this diff
+  /// again.
+  uint32_t apply_diff(WireDiff diff);
 
   /// register_type / apply_diff for a record that names the position it
   /// produces (journal replay, replication, a sync tail). Each returns
@@ -174,6 +199,12 @@ class SegmentStore {
   /// `from_version` to the current version. Returns the bytes.
   std::shared_ptr<const std::vector<uint8_t>> collect_diff(
       uint32_t from_version);
+
+  /// Appends collect_diff(from_version) as a negotiated client's wire
+  /// section: the method byte, then the raw diff or its kLz envelope. The
+  /// cache entry keeps the envelope, or the finding that compression does
+  /// not pay, so each cached diff is compressed at most once.
+  UpdateSection append_section(uint32_t from_version, Buffer& out);
 
   /// Writes the history tables a WAL-tail sync needs to make a fold
   /// version-exact: the original created_version of every live block
@@ -229,8 +260,8 @@ class SegmentStore {
   uint64_t block_bytes(const SvrBlock& block) const;
   void append_block_update(DiffWriter& writer, SvrBlock& block,
                            uint32_t from_version);
-  void cache_insert(uint32_t from_version, uint32_t to_version,
-                    std::shared_ptr<const std::vector<uint8_t>> bytes);
+  CachedDiff* cached(uint32_t from_version);
+  void cache_insert(uint32_t from_version, uint32_t to_version, WireDiff diff);
 
   std::string name_;
   Options options_;

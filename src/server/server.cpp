@@ -400,22 +400,23 @@ bool SegmentServer::append_update(SegmentEntry& entry, SegmentSession& ss,
   SegmentStore& store = *entry.store;
   store.append_type_graphs(ss.types_sent, payload);
   ss.types_sent = store.type_count();
-  auto diff = store.collect_diff(client_version);
   if (ss.may_compress) {
-    // Negotiated connections carry the diff behind a method byte; the
-    // compressor measures and keeps the raw form (plus the one-byte flag)
-    // whenever the envelope would not pay, so incompressible diffs cost
-    // one byte, not a wasted pass downstream.
-    const size_t method_offset = payload.size();
-    payload.append_u8(payload_method::kRaw);
-    payload.append(diff->data(), diff->size());
-    if (compress_section_in_place(payload, method_offset)) {
+    // Negotiated connections carry the diff behind a method byte. The
+    // section comes from the diff cache when a committer or an earlier
+    // reader already compressed this diff, or found that it does not pay.
+    const UpdateSection section = store.append_section(client_version, payload);
+    if (section.compressed) {
       stats_.updates_compressed.fetch_add(1, std::memory_order_relaxed);
     }
-    stats_.update_raw_bytes.fetch_add(diff->size(), std::memory_order_relaxed);
-    stats_.update_wire_bytes.fetch_add(payload.size() - method_offset,
+    if (section.reused) {
+      stats_.update_sections_reused.fetch_add(1, std::memory_order_relaxed);
+    }
+    stats_.update_raw_bytes.fetch_add(section.raw_bytes,
+                                      std::memory_order_relaxed);
+    stats_.update_wire_bytes.fetch_add(section.wire_bytes,
                                        std::memory_order_relaxed);
   } else {
+    auto diff = store.collect_diff(client_version);
     payload.append(diff->data(), diff->size());
     stats_.update_raw_bytes.fetch_add(diff->size(), std::memory_order_relaxed);
     stats_.update_wire_bytes.fetch_add(diff->size(),
@@ -694,24 +695,35 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
       // Negotiated connections wrap the diff in the section envelope; a
       // corrupt envelope must not wedge the segment any more than a
       // malformed diff may, so the lock drops on a decode failure too.
-      std::span<const uint8_t> diff_bytes;
-      std::vector<uint8_t> inflated;
+      // The diff cache keeps the section as it came: the client's kLz
+      // envelope is what every negotiated reader of this diff gets, and a
+      // kRaw section says the same compressor found it does not pay.
+      std::shared_ptr<const std::vector<uint8_t>> arrived;
       uint32_t old_version = entry.store->version();
       uint32_t new_version;
       try {
-        if (seg_session(entry, session).may_compress &&
-            read_compressed_section(in, inflated)) {
-          diff_bytes = inflated;
+        WireDiff diff;
+        diff.section_known = seg_session(entry, session).may_compress;
+        const uint8_t* section = in.cursor();
+        std::vector<uint8_t> inflated;
+        if (diff.section_known && read_compressed_section(in, inflated)) {
+          diff.lz_section.assign(section, in.cursor());
+          diff.bytes = std::make_shared<const std::vector<uint8_t>>(
+              std::move(inflated));
         } else {
-          diff_bytes = in.read_bytes(in.remaining());
+          auto raw = in.read_bytes(in.remaining());
+          diff.bytes = std::make_shared<const std::vector<uint8_t>>(
+              raw.begin(), raw.end());
         }
-        new_version = entry.store->apply_diff(diff_bytes);
+        arrived = diff.bytes;
+        new_version = entry.store->apply_diff(std::move(diff));
       } catch (...) {
         // A malformed diff must not wedge the segment: drop the lock.
         entry.writer = 0;
         entry.writer_cv.notify_all();
         throw;
       }
+      const std::span<const uint8_t> diff_bytes = *arrived;
       // Journal and replicate the commit *before* acknowledging it — apply
       // first (it validates the diff so garbage never reaches the log),
       // publish second, ack last. A crash after the publish is recoverable

@@ -120,6 +120,7 @@ class SegmentServer : public ServerCore {
   /* Payload pipeline: what the section envelope and the record */        \
   /* envelope saved, measured where the bytes would otherwise be paid. */ \
   X(updates_compressed)      /* update diffs sent compressed */           \
+  X(update_sections_reused)  /* sections served without compressing */    \
   X(update_raw_bytes)        /* diff bytes before the envelope */         \
   X(update_wire_bytes)       /* diff section bytes on the wire */         \
   X(commits_compressed)      /* commit records journaled packed */        \

@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 #include <string_view>
@@ -58,8 +59,10 @@ class Buffer {
 
   /// Appends a length-prefixed (u32) byte string.
   void append_lp_string(std::string_view s) {
-    append_u32(static_cast<uint32_t>(s.size()));
-    append(s.data(), s.size());
+    // One growth for the length and the bytes.
+    uint8_t* p = extend(4 + s.size());
+    store_be32(p, static_cast<uint32_t>(s.size()));
+    if (!s.empty()) std::memcpy(p + 4, s.data(), s.size());
   }
 
   /// Grows by `n` bytes and returns a pointer to the new region (bulk

@@ -1,5 +1,8 @@
 #include "wire/payload.hpp"
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstring>
 
 #include "util/crc32c.hpp"
@@ -22,18 +25,68 @@ inline uint32_t load_raw32(const uint8_t* p) {
   return v;
 }
 
+inline uint64_t load_raw64(const uint8_t* p) {
+  uint64_t v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
 // Fibonacci-hash the 4-byte sequence at a position into the match table.
 inline uint32_t sequence_slot(uint32_t v) {
   return (v * 2654435761u) >> (32 - kHashBits);
 }
 
-// Appends a 255-run length extension (the amount beyond the token nibble).
-void emit_length(Buffer& out, size_t len) {
+// Length of the common run of `a` and `b` (a < b), at most `limit` bytes:
+// eight bytes per step, the first differing byte found from the XOR.
+inline size_t common_length(const uint8_t* a, const uint8_t* b, size_t limit) {
+  size_t len = 0;
+  while (len + 8 <= limit) {
+    const uint64_t diff = load_raw64(a + len) ^ load_raw64(b + len);
+    if (diff != 0) {
+      if constexpr (std::endian::native == std::endian::little) {
+        return len + static_cast<size_t>(std::countr_zero(diff)) / 8;
+      } else {
+        return len + static_cast<size_t>(std::countl_zero(diff)) / 8;
+      }
+    }
+    len += 8;
+  }
+  while (len < limit && a[len] == b[len]) ++len;
+  return len;
+}
+
+// One match table per thread. Positions are stored offset by `base`, which
+// moves past every position of a call when the call ends, so entries left
+// by earlier inputs read as empty without clearing the table.
+struct MatchTable {
+  std::vector<uint32_t> slots = std::vector<uint32_t>(size_t{1} << kHashBits);
+  uint32_t base = 1;  // zero-filled slots sit below it: empty
+};
+
+// Bytes of the 255-run extension a length of `len` needs beyond its
+// 4-bit token nibble (see emit_length).
+inline size_t extension_bytes(size_t len) {
+  return len < 15 ? 0 : (len - 15) / 255 + 1;
+}
+
+// Writes a 255-run length extension (the amount beyond the token nibble).
+inline uint8_t* emit_length(uint8_t* op, size_t len) {
   while (len >= 255) {
-    out.append_u8(255);
+    *op++ = 255;
     len -= 255;
   }
-  out.append_u8(static_cast<uint8_t>(len));
+  *op++ = static_cast<uint8_t>(len);
+  return op;
+}
+
+// Writes the token and literals of one sequence.
+inline uint8_t* emit_literals(uint8_t* op, const uint8_t* lit_src, size_t lit,
+                              size_t match_nib) {
+  const size_t lit_nib = lit < 15 ? lit : 15;
+  *op++ = static_cast<uint8_t>((lit_nib << 4) | match_nib);
+  if (lit >= 15) op = emit_length(op, lit - 15);
+  std::memcpy(op, lit_src, lit);
+  return op + lit;
 }
 
 [[noreturn]] void corrupt(const char* what) {
@@ -46,39 +99,53 @@ bool lz_compress(std::span<const uint8_t> raw, Buffer& out) {
   const size_t n = raw.size();
   if (n < kMinCompressInput || n > kMaxFramedBody) return false;
   const uint8_t* src = raw.data();
-  const size_t start = out.size();
 
-  // Positions are stored +1 so a zero entry means "empty".
-  std::vector<uint32_t> table(size_t{1} << kHashBits, 0);
+  static thread_local MatchTable table;
+  if (table.base > UINT32_MAX - n) {
+    std::fill(table.slots.begin(), table.slots.end(), 0);
+    table.base = 1;
+  }
+  const uint32_t base = table.base;
+  table.base += static_cast<uint32_t>(n);
+  uint32_t* const slots = table.slots.data();
+
+  // An encoding of n bytes or more is refused, so n bytes of room suffice:
+  // each sequence is sized before it is written, and one that would reach
+  // n ends the attempt (the encoding only grows from there).
+  const size_t start = out.size();
+  uint8_t* const op_begin = out.extend(n);
+  uint8_t* const op_end = op_begin + n;
+  uint8_t* op = op_begin;
 
   size_t ip = 0, anchor = 0;
   while (ip + kMinMatch <= n) {
     const uint32_t seq = load_raw32(src + ip);
-    const uint32_t slot = sequence_slot(seq);
-    const size_t cand = table[slot];
-    table[slot] = static_cast<uint32_t>(ip + 1);
-    if (cand != 0) {
-      const size_t cpos = cand - 1;
+    uint32_t& slot = slots[sequence_slot(seq)];
+    const uint32_t cand = slot;
+    slot = base + static_cast<uint32_t>(ip);
+    if (cand >= base) {
+      const size_t cpos = cand - base;
       if (ip - cpos <= kMaxOffset && load_raw32(src + cpos) == seq) {
-        size_t len = kMinMatch;
-        while (ip + len < n && src[cpos + len] == src[ip + len]) ++len;
-
+        const size_t len =
+            kMinMatch + common_length(src + cpos + kMinMatch,
+                                      src + ip + kMinMatch,
+                                      n - ip - kMinMatch);
         const size_t lit = ip - anchor;
-        const size_t lit_nib = lit < 15 ? lit : 15;
-        const size_t match_nib = (len - kMinMatch) < 15 ? len - kMinMatch : 15;
-        out.append_u8(static_cast<uint8_t>((lit_nib << 4) | match_nib));
-        if (lit >= 15) emit_length(out, lit - 15);
-        out.append(src + anchor, lit);
-        out.append_u16(static_cast<uint16_t>(ip - cpos));
-        if (len - kMinMatch >= 15) emit_length(out, len - kMinMatch - 15);
-
-        ip += len;
-        anchor = ip;
-        // Already bigger than the input: incompressible, stop wasting work.
-        if (out.size() - start >= n) {
+        const size_t extra = len - kMinMatch;
+        const size_t bytes =
+            1 + extension_bytes(lit) + lit + 2 + extension_bytes(extra);
+        // Already as big as the input: incompressible, stop wasting work.
+        if (bytes >= static_cast<size_t>(op_end - op)) {
           out.truncate(start);
           return false;
         }
+        op = emit_literals(op, src + anchor, lit, extra < 15 ? extra : 15);
+        store_be16(op, static_cast<uint16_t>(ip - cpos));
+        op += 2;
+        if (extra >= 15) op = emit_length(op, extra - 15);
+
+        ip += len;
+        anchor = ip;
         continue;
       }
     }
@@ -88,15 +155,13 @@ bool lz_compress(std::span<const uint8_t> raw, Buffer& out) {
   // Final literals-only sequence (no offset follows; the decoder knows by
   // reaching the end of input).
   const size_t lit = n - anchor;
-  const size_t lit_nib = lit < 15 ? lit : 15;
-  out.append_u8(static_cast<uint8_t>(lit_nib << 4));
-  if (lit >= 15) emit_length(out, lit - 15);
-  out.append(src + anchor, lit);
-
-  if (out.size() - start >= n) {
+  const size_t bytes = 1 + extension_bytes(lit) + lit;
+  if (bytes >= static_cast<size_t>(op_end - op)) {
     out.truncate(start);
     return false;
   }
+  op = emit_literals(op, src + anchor, lit, 0);
+  out.truncate(start + static_cast<size_t>(op - op_begin));
   return true;
 }
 
@@ -140,9 +205,13 @@ void lz_decompress(std::span<const uint8_t> comp, uint8_t* dst,
     if (offset == 0 || offset > written) corrupt("match offset out of range");
     const size_t match = kMinMatch + read_length(token & 0xF);
     if (match > raw_len - written) corrupt("match run past end of output");
-    // Byte-wise: matches may overlap their own output (RLE-style).
     const uint8_t* from = dst + written - offset;
-    for (size_t i = 0; i < match; ++i) dst[written + i] = from[i];
+    if (offset >= match) {
+      std::memcpy(dst + written, from, match);
+    } else {
+      // The match overlaps its own output (RLE-style): byte by byte.
+      for (size_t i = 0; i < match; ++i) dst[written + i] = from[i];
+    }
     written += match;
   }
   if (written != raw_len) corrupt("decompressed size mismatch");

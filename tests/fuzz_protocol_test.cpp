@@ -3,9 +3,17 @@
 // or hangs. Deterministic seeds keep failures reproducible.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <string>
+#include <thread>
+#include <utility>
+
 #include "net/inproc.hpp"
 #include "server/server.hpp"
 #include "types/registry.hpp"
+#include "util/crc32c.hpp"
+#include "util/endian.hpp"
 #include "util/rand.hpp"
 #include "wire/diff.hpp"
 #include "wire/frame.hpp"
@@ -289,6 +297,139 @@ TEST(FuzzCodec, MutatedSectionEnvelopesAreTypedErrors) {
       EXPECT_TRUE(e.code() == ErrorCode::kCorruptPayload ||
                   e.code() == ErrorCode::kProtocol)
           << static_cast<int>(e.code());
+    }
+  }
+}
+
+// ------------------------------------------------ pinned encoder output
+
+// An array of 48-byte records: a counting id, a slowly drifting double, a
+// short name padded with zeros and a pointer-like word. The shape of a
+// packed-canonical block diff.
+std::vector<uint8_t> struct_like_bytes(SplitMix64& rng, size_t len) {
+  static constexpr const char* kNames[] = {"alpha", "beta", "gamma",
+                                           "delta", "epsilon"};
+  std::vector<uint8_t> out;
+  out.reserve(len + 48);
+  double value = 1.0;
+  for (uint32_t id = 0; out.size() < len; ++id) {
+    uint8_t rec[48] = {};
+    store_be32(rec, id);
+    value += static_cast<double>(rng.below(1000)) / 64.0;
+    store_be_double(rec + 4, value);
+    const char* name = kNames[rng.below(5)];
+    std::memcpy(rec + 12, name, std::strlen(name));
+    store_be64(rec + 40, 0x10000 + 48 * static_cast<uint64_t>(rng.below(512)));
+    out.insert(out.end(), rec, rec + sizeof rec);
+  }
+  out.resize(len);
+  return out;
+}
+
+// Words from a small vocabulary, separated by spaces and newlines.
+std::vector<uint8_t> text_like_bytes(SplitMix64& rng, size_t len) {
+  static constexpr const char* kWords[] = {
+      "segment", "version", "diff",   "block", "server", "client",
+      "the",     "of",      "a",      "lock",  "marker", "heterogeneous",
+      "wire",    "format",  "pointer"};
+  std::vector<uint8_t> out;
+  out.reserve(len + 16);
+  while (out.size() < len) {
+    const char* w = kWords[rng.below(15)];
+    out.insert(out.end(), w, w + std::strlen(w));
+    out.push_back(rng.below(12) == 0 ? '\n' : ' ');
+  }
+  out.resize(len);
+  return out;
+}
+
+struct PinnedInput {
+  std::string name;
+  std::vector<uint8_t> bytes;
+};
+
+// One input per shape the codec meets, at sizes that cross the minimum
+// input, the 15- and 255-byte length extensions and the 64 KiB match
+// window.
+std::vector<PinnedInput> pinned_inputs() {
+  SplitMix64 rng(0x5eed);
+  std::vector<PinnedInput> in;
+  for (size_t len : {64u, 1000u, 51200u, 200000u}) {
+    in.push_back({"struct/" + std::to_string(len), struct_like_bytes(rng, len)});
+  }
+  for (size_t len : {65u, 4096u, 70000u}) {
+    in.push_back({"text/" + std::to_string(len), text_like_bytes(rng, len)});
+  }
+  for (size_t len : {300u, 20000u}) {
+    in.push_back({"rle/" + std::to_string(len), compressible_bytes(rng, len)});
+  }
+  in.push_back({"rle/one-run", std::vector<uint8_t>(5000, 0xab)});
+  for (size_t len : {64u, 8192u}) {
+    std::vector<uint8_t> noise(len);
+    for (auto& b : noise) b = static_cast<uint8_t>(rng());
+    in.push_back({"random/" + std::to_string(len), std::move(noise)});
+  }
+  // A long literal run followed by a repeat of itself.
+  std::vector<uint8_t> echo(3000);
+  for (auto& b : echo) b = static_cast<uint8_t>(rng());
+  echo.insert(echo.end(), echo.begin(), echo.end());
+  in.push_back({"random/echo", std::move(echo)});
+  return in;
+}
+
+// {bytes, CRC32C} of each input's lz_compress output, {0, 0} where the
+// encoder declines. Journals, replicas and peers hold these exact bytes,
+// and a reader reuses a committer's envelope verbatim, so a speed-up of
+// the encoder must leave every value here unchanged.
+constexpr std::pair<size_t, uint32_t> kPinnedEncodings[] = {
+    {42, 0x0651a659},    {342, 0x38bc2f98},   {15423, 0x7bd2f106},
+    {60136, 0xaafae588}, {59, 0x65c7cc09},    {1728, 0x9bdf2489},
+    {28239, 0xc3d57205}, {47, 0x9c72a15a},    {2747, 0x5ab0ee7e},
+    {25, 0xa371c33b},    {0, 0},              {0, 0},
+    {3028, 0x432690c3},
+};
+
+std::vector<std::vector<uint8_t>> encode_all(
+    const std::vector<PinnedInput>& inputs) {
+  std::vector<std::vector<uint8_t>> out;
+  for (const PinnedInput& in : inputs) {
+    Buffer comp;
+    comp.append_u8(0x42);  // lz_compress appends: a prefix must survive
+    if (lz_compress(in.bytes, comp)) {
+      out.emplace_back(comp.data() + 1, comp.data() + comp.size());
+    } else {
+      EXPECT_EQ(comp.size(), 1u) << in.name;
+      out.emplace_back();
+    }
+    EXPECT_EQ(comp.data()[0], 0x42) << in.name;
+  }
+  return out;
+}
+
+TEST(FuzzCodec, EncoderOutputIsPinned) {
+  const std::vector<PinnedInput> inputs = pinned_inputs();
+  ASSERT_EQ(inputs.size(), std::size(kPinnedEncodings));
+
+  // This thread has compressed other inputs in earlier tests; encode
+  // forwards, then backwards, so each input also follows a different one.
+  const std::vector<std::vector<uint8_t>> warm = encode_all(inputs);
+  std::vector<PinnedInput> reversed(inputs.rbegin(), inputs.rend());
+  std::vector<std::vector<uint8_t>> rewarm = encode_all(reversed);
+  std::reverse(rewarm.begin(), rewarm.end());
+  std::vector<std::vector<uint8_t>> fresh;
+  std::thread([&] { fresh = encode_all(inputs); }).join();
+
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    const std::vector<uint8_t>& enc = warm[i];
+    const uint32_t crc = enc.empty() ? 0 : crc32c(enc.data(), enc.size());
+    EXPECT_EQ(enc.size(), kPinnedEncodings[i].first) << inputs[i].name;
+    EXPECT_EQ(crc, kPinnedEncodings[i].second)
+        << inputs[i].name << " crc 0x" << std::hex << crc;
+    EXPECT_EQ(rewarm[i], enc) << inputs[i].name;
+    EXPECT_EQ(fresh[i], enc) << inputs[i].name;
+    if (!enc.empty()) {
+      EXPECT_EQ(lz_decompress(enc, inputs[i].bytes.size()), inputs[i].bytes)
+          << inputs[i].name;
     }
   }
 }
