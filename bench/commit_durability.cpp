@@ -291,9 +291,6 @@ int run_payload_main(int cycles) {
 }
 
 int main(int argc, char** argv) {
-  // The env override would force every cell to one setting; the payload
-  // matrix owns the compression toggle.
-  ::unsetenv("IW_COMPRESS");
   if (argc > 1 && std::string(argv[1]) == "--payload") {
     return run_payload_main(argc > 2 ? std::atoi(argv[2]) : 2000);
   }

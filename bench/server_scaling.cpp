@@ -2,20 +2,14 @@
 // lock/modify/update cycles against a live SegmentServer, reported as JSON
 // (requests/sec, p50/p99 latency) at 1/2/4/8 threads.
 //
-// Each configuration runs twice: against the sharded server directly, and
-// through a global-mutex adapter that serializes every request — the seed's
-// single-`std::mutex` design — so the speedup from per-segment locking is
-// recorded in the bench trajectory. Thread t works on segment t (threads ==
-// segments), so the workload is embarrassingly parallel server-side and any
-// shortfall is lock contention. Diffs are deliberately large (8 KiB applies,
-// periodic 32 KiB from-scratch collections) so a meaningful share of each
-// request's wall time is spent inside the server under the segment lock;
-// that is the portion the global mutex serializes and sharding parallelizes.
+// Thread t works on segment t (threads == segments), so the workload is
+// embarrassingly parallel server-side and any shortfall is lock contention.
+// Diffs are deliberately large (8 KiB applies, periodic 32 KiB from-scratch
+// collections) so a meaningful share of each request's wall time is spent
+// inside the server under the segment lock.
 //
 // Aggregate throughput only scales with available cores: each row carries a
-// "cores" field, and on a single-core host the two modes converge to ~1.0x
-// by construction (the CPU is saturated either way; sharding then shows up
-// in tail latency, not throughput).
+// "cores" field.
 //
 // A second mode measures connection scaling on the epoll reactor:
 //
@@ -71,7 +65,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -88,29 +81,6 @@ namespace {
 
 constexpr uint32_t kUnits = 8192;     // int32 array units per block (32 KiB)
 constexpr uint32_t kRunUnits = 2048;  // units modified per cycle (8 KiB)
-
-/// The seed's concurrency model: one mutex in front of the whole server.
-class GlobalLockCore final : public ServerCore {
- public:
-  explicit GlobalLockCore(ServerCore& inner) : inner_(inner) {}
-
-  void on_connect(SessionId session, Notifier notify) override {
-    std::lock_guard lock(mu_);
-    inner_.on_connect(session, std::move(notify));
-  }
-  void on_disconnect(SessionId session) override {
-    std::lock_guard lock(mu_);
-    inner_.on_disconnect(session);
-  }
-  Frame handle(SessionId session, const Frame& request) override {
-    std::lock_guard lock(mu_);
-    return inner_.handle(session, request);
-  }
-
- private:
-  std::mutex mu_;
-  ServerCore& inner_;
-};
 
 Frame call(TcpClientChannel& ch, MsgType type,
            const std::function<void(Buffer&)>& fill) {
@@ -199,12 +169,9 @@ struct RunResult {
   double p99_us = 0;
 };
 
-RunResult run_config(bool sharded, int threads, int cycles) {
+RunResult run_config(int threads, int cycles) {
   server::SegmentServer core;
-  GlobalLockCore global(core);
-  TcpServer server(sharded ? static_cast<ServerCore&>(core)
-                           : static_cast<ServerCore&>(global),
-                   0);
+  TcpServer server(core, 0);
 
   std::vector<std::vector<uint64_t>> latencies(threads);
   std::vector<uint64_t> requests(threads, 0);
@@ -954,18 +921,8 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (update_bytes) {
-    // The env override would force every cell to one setting; the payload
-    // matrix owns the compression toggle.
-    ::unsetenv("IW_COMPRESS");
-    return iw::run_update_bytes_main(rounds);
-  }
-  if (hot_read) {
-    // The env override would force both runs to one setting; the bench owns
-    // the caching toggle.
-    ::unsetenv("IW_LOCK_CACHE");
-    return iw::run_hot_read_main(readers, bench_seconds);
-  }
+  if (update_bytes) return iw::run_update_bytes_main(rounds);
+  if (hot_read) return iw::run_hot_read_main(readers, bench_seconds);
   if (connections > 0) {
     return iw::run_connection_scaling(connections, bench_seconds);
   }
@@ -974,22 +931,15 @@ int main(int argc, char** argv) {
   std::printf("[\n");
   bool first = true;
   for (int threads : {1, 2, 4, 8}) {
-    iw::RunResult sharded = iw::run_config(true, threads, cycles);
-    iw::RunResult global = iw::run_config(false, threads, cycles);
-    for (bool is_sharded : {true, false}) {
-      const iw::RunResult& r = is_sharded ? sharded : global;
-      std::printf(
-          "%s  {\"bench\": \"server_scaling\", \"mode\": \"%s\", "
-          "\"threads\": %d, \"segments\": %d, \"cores\": %u, "
-          "\"cycles_per_thread\": %d, \"requests_per_sec\": %.0f, "
-          "\"p50_us\": %.1f, \"p99_us\": %.1f}",
-          first ? "" : ",\n", is_sharded ? "sharded" : "global_lock", threads,
-          threads, cores, cycles, r.requests_per_sec, r.p50_us, r.p99_us);
-      first = false;
-    }
-    std::printf(",\n  {\"bench\": \"server_scaling\", \"threads\": %d, "
-                "\"cores\": %u, \"speedup_sharded_vs_global\": %.2f}",
-                threads, cores, sharded.requests_per_sec / global.requests_per_sec);
+    const iw::RunResult r = iw::run_config(threads, cycles);
+    std::printf(
+        "%s  {\"bench\": \"server_scaling\", \"mode\": \"sharded\", "
+        "\"threads\": %d, \"segments\": %d, \"cores\": %u, "
+        "\"cycles_per_thread\": %d, \"requests_per_sec\": %.0f, "
+        "\"p50_us\": %.1f, \"p99_us\": %.1f}",
+        first ? "" : ",\n", threads, threads, cores, cycles,
+        r.requests_per_sec, r.p50_us, r.p99_us);
+    first = false;
   }
   std::printf("\n]\n");
   return 0;

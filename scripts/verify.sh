@@ -33,6 +33,10 @@
 # matrix plus the restart-chaos workload) under UBSan, so recovery's
 # byte-slicing replay path is exercised many times in one run.
 #
+# It starts with a source gate: the library reads no environment variable,
+# so every feature has one switch, its Options field (test lanes pin
+# features through tests/lane_modes.hpp instead).
+#
 # Usage: scripts/verify.sh [build-dir] [ubsan-build-dir] [tsan-build-dir]
 set -euo pipefail
 
@@ -41,6 +45,12 @@ BUILD="${1:-build}"
 UBSAN_BUILD="${2:-build-ubsan}"
 TSAN_BUILD="${3:-build-tsan}"
 JOBS="$(nproc 2>/dev/null || echo 4)"
+
+echo "== gate: no getenv in the library =="
+if git grep -n getenv -- src; then
+  echo "verify.sh: src/ reads the environment; make it an Options field" >&2
+  exit 1
+fi
 
 echo "== tier-1: configure + build + ctest =="
 cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo

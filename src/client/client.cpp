@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cstdlib>
 #include <cstring>
 #include <unordered_set>
 
@@ -72,23 +71,14 @@ Client::Client(ChannelFactory factory, Options options)
   native_pointers_ = rules.size[kPtrIdx] == native.size[kPtrIdx] &&
                      rules.byte_order == native.byte_order;
   // Lock caching needs the hello handshake, which only the reconnect
-  // supervisor performs; the environment variable overrides the option in
-  // both directions so test lanes can force either mode.
-  bool cache = options_.cache_read_locks;
-  if (const char* env = std::getenv("IW_LOCK_CACHE")) {
-    cache = std::string_view(env) != "0";
-  }
-  lock_cache_enabled_ = cache && options_.auto_reconnect;
+  // supervisor performs.
+  lock_cache_enabled_ = options_.cache_read_locks && options_.auto_reconnect;
   options_.reconnect.announce_lock_caching = lock_cache_enabled_;
   // Payload compression rides the same handshake; per-connection
   // effectiveness is still the server's answer (supports_payload_compression
   // on the channel), so a mixed fleet degrades to the raw byte stream.
-  bool compress = options_.compress_payloads;
-  if (const char* env = std::getenv("IW_COMPRESS")) {
-    compress = std::string_view(env) != "0";
-  }
   options_.reconnect.announce_payload_compression =
-      compress && options_.auto_reconnect;
+      options_.compress_payloads && options_.auto_reconnect;
   if (lock_cache_enabled_) {
     revoke_ack_worker_ = std::thread([this] { revoke_ack_loop(); });
   }

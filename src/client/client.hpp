@@ -170,15 +170,12 @@ class Client {
     bool subscribe_notifications = true;
     /// Retain reader locks across read_unlock and satisfy repeat acquires
     /// from the cache with zero RPCs, honouring server kRevokeRead
-    /// callbacks. Needs auto_reconnect (the hello handshake negotiates it);
-    /// the IW_LOCK_CACHE environment variable overrides this ("0" off,
-    /// anything else on).
+    /// callbacks. Needs auto_reconnect (the hello handshake negotiates it).
     bool cache_read_locks = true;
     /// Negotiate payload compression (wire/payload.hpp) in the hello and,
     /// when the server confirms, exchange diff sections behind the
     /// method-byte envelope in both directions. Needs auto_reconnect for
-    /// the handshake; the IW_COMPRESS environment variable overrides this
-    /// ("0" off, anything else on).
+    /// the handshake.
     bool compress_payloads = true;
     /// Wrap every channel in a ReconnectingChannel: transport failures tear
     /// the connection down, reconnect with backoff under a new session
@@ -373,7 +370,7 @@ class Client {
   /// Leaf lock (after mu_ in the ordering; notify handlers take it alone).
   mutable std::mutex lock_cache_mu_;
   std::unordered_map<std::string, LockCacheEntry> lock_cache_;
-  /// cache_read_locks resolved against IW_LOCK_CACHE and auto_reconnect.
+  /// cache_read_locks resolved against auto_reconnect.
   bool lock_cache_enabled_ = false;
   // Lock-cache counters are atomics, not plain ClientStats fields: the
   // revoke path bumps them without mu_.

@@ -31,28 +31,26 @@ void ReconnectingChannel::connect_locked() {
   }
   if (notify_) ch->set_notify_handler(notify_);
   ++epoch_;
-  if (options_.hello_on_connect) {
-    Buffer hello;
-    hello.append_u64(client_id_);
-    hello.append_u32(static_cast<uint32_t>(epoch_));
-    hello.append_u8((options_.announce_lock_caching ? 1 : 0) |
-                    (options_.announce_payload_compression ? 2 : 0));
-    Frame resp = ch->call(MsgType::kHello, std::move(hello));
-    BufReader r = resp.reader();
-    server_lease_ms_ = r.read_u32();
-    // Trailing feature bits + revocation deadline are absent from
-    // pre-lock-caching servers; their absence means "no revocation" and
-    // "no compression" — the old byte stream in both directions.
-    lock_caching_ok_ = false;
-    payload_compression_ok_ = false;
-    server_revoke_deadline_ms_ = 0;
-    if (r.remaining() >= 1) {
-      uint8_t features = r.read_u8();
-      lock_caching_ok_ = options_.announce_lock_caching && (features & 1) != 0;
-      payload_compression_ok_ =
-          options_.announce_payload_compression && (features & 2) != 0;
-      if (r.remaining() >= 4) server_revoke_deadline_ms_ = r.read_u32();
-    }
+  Buffer hello;
+  hello.append_u64(client_id_);
+  hello.append_u32(static_cast<uint32_t>(epoch_));
+  hello.append_u8((options_.announce_lock_caching ? 1 : 0) |
+                  (options_.announce_payload_compression ? 2 : 0));
+  Frame resp = ch->call(MsgType::kHello, std::move(hello));
+  BufReader r = resp.reader();
+  server_lease_ms_ = r.read_u32();
+  // Trailing feature bits + revocation deadline are absent from
+  // pre-lock-caching servers; their absence means "no revocation" and
+  // "no compression" — the old byte stream in both directions.
+  lock_caching_ok_ = false;
+  payload_compression_ok_ = false;
+  server_revoke_deadline_ms_ = 0;
+  if (r.remaining() >= 1) {
+    uint8_t features = r.read_u8();
+    lock_caching_ok_ = options_.announce_lock_caching && (features & 1) != 0;
+    payload_compression_ok_ =
+        options_.announce_payload_compression && (features & 2) != 0;
+    if (r.remaining() >= 4) server_revoke_deadline_ms_ = r.read_u32();
   }
   inner_ = std::move(ch);
 }

@@ -43,9 +43,6 @@ class ReconnectingChannel final : public ClientChannel {
     uint32_t max_call_retries = 8;
     /// Jitter seed; 0 derives one from the channel's client id.
     uint64_t jitter_seed = 0;
-    /// Send kHello (client id + session epoch) after every connect; the
-    /// response carries the server's writer-lease duration.
-    bool hello_on_connect = true;
     /// Announce client-side lock caching in the hello feature bits; the
     /// negotiation succeeds only if the server answers that it revokes
     /// (see supports_lock_caching()).
@@ -75,7 +72,7 @@ class ReconnectingChannel final : public ClientChannel {
   ChannelFaultStats fault_stats() const override;
 
   /// Writer-lease duration announced by the server in kHelloResp (0 when
-  /// leases are disabled or hello_on_connect is off).
+  /// leases are disabled).
   uint32_t server_lease_ms() const;
   /// True when both sides negotiated lock caching on the current
   /// connection.

@@ -17,6 +17,9 @@ namespace iw {
 
 namespace {
 
+/// Pending bytes that cut a batch window short and force a flush.
+constexpr size_t kBatchMaxBytes = 64 * 1024;
+
 /// Sends every byte of `data`; returns how many send() syscalls it took.
 size_t write_all(int fd, const uint8_t* data, size_t n) {
   size_t syscalls = 0;
@@ -355,7 +358,7 @@ void TcpClientChannel::send_frame_coalesced(const uint8_t* header,
         // lands in this batch instead of the next syscall.
         send_cv_.wait_for(
             lock, std::chrono::microseconds(options_.batch_window_us), [&] {
-              return send_pending_.size() >= options_.batch_max_bytes ||
+              return send_pending_.size() >= kBatchMaxBytes ||
                      send_error_.has_value();
             });
         if (send_error_) {

@@ -77,10 +77,8 @@ class TcpClientChannel final : public ClientChannel {
     /// thread is mid-send ride that thread's next syscall — but never
     /// delays a lone call. > 0 makes the flushing thread linger that long
     /// so bursts from many threads accumulate into one send (group
-    /// commit); bounded by batch_max_bytes.
+    /// commit); 64 KiB of pending frames cut the window short.
     uint32_t batch_window_us = 0;
-    /// Pending bytes that cut a batch window short and force a flush.
-    size_t batch_max_bytes = 64 * 1024;
   };
 
 #define IW_TCP_BATCH_COUNTERS(X)                         \

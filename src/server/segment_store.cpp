@@ -10,8 +10,8 @@
 namespace iw::server {
 
 namespace {
-uint32_t subblocks_for(uint64_t units, uint32_t subblock_units) {
-  return static_cast<uint32_t>((units + subblock_units - 1) / subblock_units);
+uint32_t subblocks_for(uint64_t units) {
+  return static_cast<uint32_t>((units + kSubblockUnits - 1) / kSubblockUnits);
 }
 }  // namespace
 
@@ -188,8 +188,7 @@ SvrBlock* SegmentStore::create_block(uint32_t serial, uint32_t type_serial,
   const VarMap& vm = var_map(block->type);
   block->vardata.assign(vm.slot_count, std::string());
   block->subblock_versions.assign(
-      subblocks_for(block->type->prim_units(), options_.subblock_units),
-      at_version);
+      subblocks_for(block->type->prim_units()), at_version);
   if (!blocks_by_serial_.insert(*block)) {
     free_pool_.push_back(block);
     throw Error(ErrorCode::kProtocol, "duplicate block serial");
@@ -258,9 +257,8 @@ uint32_t SegmentStore::apply_diff(WireDiff diff) {
       decode_units(*block->type, registry_.rules(), block->data.data(),
                    run.start_unit, run.start_unit + run.unit_count, hooks,
                    entry.runs);
-      uint32_t first_sb = run.start_unit / options_.subblock_units;
-      uint32_t last_sb =
-          (run.start_unit + run.unit_count - 1) / options_.subblock_units;
+      uint32_t first_sb = run.start_unit / kSubblockUnits;
+      uint32_t last_sb = (run.start_unit + run.unit_count - 1) / kSubblockUnits;
       for (uint32_t sb = first_sb; sb <= last_sb; ++sb) {
         block->subblock_versions[sb] = new_version;
       }
@@ -289,8 +287,7 @@ uint32_t SegmentStore::apply_diff(WireDiff diff) {
     }
     // Modified block: try the prediction before the serial tree (§3.3).
     SvrBlock* block = nullptr;
-    if (options_.enable_last_block_prediction && predicted != nullptr &&
-        predicted->serial == entry.serial) {
+    if (predicted != nullptr && predicted->serial == entry.serial) {
       block = predicted;
       stats_.prediction_hits.fetch_add(1, std::memory_order_relaxed);
     }
@@ -341,7 +338,6 @@ void SegmentStore::append_block_update(DiffWriter& writer, SvrBlock& block,
   // Send full content of every subblock newer than from_version, merging
   // adjacent stale runs (the client just sees runs of modified data).
   writer.begin_block(block.serial, 0);
-  const uint32_t su = options_.subblock_units;
   const uint32_t n_sb = block.subblock_count();
   uint32_t sb = 0;
   while (sb < n_sb) {
@@ -351,8 +347,9 @@ void SegmentStore::append_block_update(DiffWriter& writer, SvrBlock& block,
     }
     uint32_t first = sb;
     while (sb < n_sb && block.subblock_versions[sb] > from_version) ++sb;
-    uint64_t unit_begin = static_cast<uint64_t>(first) * su;
-    uint64_t unit_end = std::min(units, static_cast<uint64_t>(sb) * su);
+    uint64_t unit_begin = static_cast<uint64_t>(first) * kSubblockUnits;
+    uint64_t unit_end =
+        std::min(units, static_cast<uint64_t>(sb) * kSubblockUnits);
     writer.begin_run(static_cast<uint32_t>(unit_begin),
                      static_cast<uint32_t>(unit_end - unit_begin));
     encode_units(*block.type, registry_.rules(), block.data.data(), unit_begin,
@@ -522,7 +519,7 @@ uint32_t SegmentStore::apply_fold(uint32_t to_version, BufReader& in) {
 void SegmentStore::cache_insert(uint32_t from_version, uint32_t to_version,
                                 WireDiff diff) {
   diff_cache_.push_back({from_version, to_version, std::move(diff)});
-  while (diff_cache_.size() > options_.diff_cache_entries) {
+  while (diff_cache_.size() > kDiffCacheEntries) {
     diff_cache_.pop_front();
   }
 }

@@ -34,6 +34,9 @@ namespace iw::server {
 /// for change ratios 1–16 in Fig. 5).
 inline constexpr uint32_t kSubblockUnits = 16;
 
+/// Recent (from, to) diffs a store keeps when its diff cache is on.
+inline constexpr size_t kDiffCacheEntries = 16;
+
 /// Node in a segment's blk_version_list: either a block or a marker.
 struct VersionNode {
   explicit VersionNode(bool marker) : is_marker(marker) {}
@@ -142,9 +145,6 @@ class SegmentStore {
  public:
   struct Options {
     bool enable_diff_cache = true;
-    size_t diff_cache_entries = 16;
-    bool enable_last_block_prediction = true;
-    uint32_t subblock_units = kSubblockUnits;
   };
 
   SegmentStore(std::string name, Options options);

@@ -1,7 +1,6 @@
 #include "server/server.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <vector>
@@ -61,9 +60,6 @@ std::string decode_file_name(const std::string& stem) {
 SegmentServer::SegmentServer() : SegmentServer(Options{}) {}
 
 SegmentServer::SegmentServer(Options options) : options_(std::move(options)) {
-  if (const char* env = std::getenv("IW_COMPRESS")) {
-    options_.compress_payloads = std::string_view(env) != "0";
-  }
   if (!options_.checkpoint_dir.empty()) {
     std::filesystem::create_directories(options_.checkpoint_dir);
   }
@@ -263,25 +259,6 @@ void SegmentServer::acquire_writer_locked(SegmentEntry& entry,
 void SegmentServer::revoke_cached_readers_locked(
     SegmentEntry& entry, const std::string& name, SessionId session,
     std::unique_lock<std::mutex>& el) {
-  using clock = std::chrono::steady_clock;
-  // Grants past their TTL are dropped up front, with no revoke round trip:
-  // their holders are presumed gone, and the writer should not spend the
-  // revocation deadline waiting for acks that cannot come.
-  if (options_.cached_grant_ttl_ms != 0) {
-    const auto cutoff =
-        clock::now() - std::chrono::milliseconds(options_.cached_grant_ttl_ms);
-    uint64_t swept = 0;
-    for (auto& [sid, ss] : entry.sessions) {
-      if (sid != session && ss.cached_read && !ss.revoke_pending &&
-          ss.grant_time < cutoff) {
-        ss.cached_read = false;
-        ++swept;
-      }
-    }
-    if (swept != 0) {
-      stats_.expired_grants_swept.fetch_add(swept, std::memory_order_relaxed);
-    }
-  }
   auto cached_holders = [&] {
     size_t n = 0;
     for (auto& [sid, ss] : entry.sessions) {
@@ -318,6 +295,7 @@ void SegmentServer::revoke_cached_readers_locked(
     el.lock();
   }
 
+  using clock = std::chrono::steady_clock;
   const auto lease = std::chrono::milliseconds(options_.writer_lease_ms);
   const auto deadline =
       clock::now() + std::chrono::milliseconds(options_.revoke_deadline_ms);
@@ -571,7 +549,6 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
         ss.cached_read = grant;
         ss.revoke_pending = false;
         if (grant) {
-          ss.grant_time = std::chrono::steady_clock::now();
           stats_.cached_read_grants.fetch_add(1, std::memory_order_relaxed);
         }
         payload.append_u8(grant ? 1 : 0);
@@ -601,7 +578,6 @@ Frame SegmentServer::dispatch(SessionId session, const Frame& request,
             }
             ss.cached_read = true;
             ss.revoke_pending = false;
-            ss.grant_time = std::chrono::steady_clock::now();
           } else if (ss.cached_read || ss.revoke_pending) {
             // Plain release surrenders any cached lock — and acks an
             // in-flight revoke, waking the draining writer.
@@ -1336,37 +1312,6 @@ uint32_t SegmentServer::backfill_segment(const std::string& name,
   fin.append_u32(version);
   channel->call(MsgType::kSyncDone, std::move(fin));
   return version;
-}
-
-uint64_t SegmentServer::sweep_expired_grants() {
-  if (options_.cached_grant_ttl_ms == 0 || options_.revoke_deadline_ms == 0) {
-    return 0;
-  }
-  const auto cutoff =
-      std::chrono::steady_clock::now() -
-      std::chrono::milliseconds(options_.cached_grant_ttl_ms);
-  uint64_t swept = 0;
-  std::shared_lock dir(dir_mu_);
-  for (auto& [name, entry] : segments_) {
-    std::lock_guard el(entry->mu);
-    uint64_t here = 0;
-    for (auto& [sid, ss] : entry->sessions) {
-      // Grants with a revocation in flight stay with the deadline
-      // machinery — the writer driving it owns their fate.
-      if (ss.cached_read && !ss.revoke_pending && ss.grant_time < cutoff) {
-        ss.cached_read = false;
-        ++here;
-      }
-    }
-    if (here != 0) {
-      swept += here;
-      entry->writer_cv.notify_all();
-    }
-  }
-  if (swept != 0) {
-    stats_.expired_grants_swept.fetch_add(swept, std::memory_order_relaxed);
-  }
-  return swept;
 }
 
 void SegmentServer::checkpoint_segment_locked(SegmentEntry& entry) {

@@ -67,11 +67,6 @@ class SegmentServer : public ServerCore {
     /// kReleaseRead drops the lock server-side even when the client asked
     /// to cache it.
     uint32_t revoke_deadline_ms = 2'000;
-    /// Cached read grants idle longer than this are swept server-side
-    /// without a revoke round trip — a crashed or wedged holder can never
-    /// ack one, so the TTL bounds how long it can tax every future writer
-    /// with a full revocation deadline. 0 disables the sweep.
-    uint32_t cached_grant_ttl_ms = 0;
     /// Streams every journaled record to replica servers and gates commit
     /// acknowledgement on its replication factor (see replication.hpp);
     /// null runs standalone.
@@ -92,10 +87,9 @@ class SegmentServer : public ServerCore {
     /// connections whose client announced the same bit get the section
     /// envelope, so pre-compression peers see the old byte stream) and
     /// journals commit records as compressed envelopes when the sampled
-    /// ratio pays. The IW_COMPRESS environment variable overrides this at
-    /// construction ("0" disables, anything else enables).
+    /// ratio pays.
     bool compress_payloads = true;
-    /// Store tuning (diff cache, prediction, subblock size).
+    /// Store tuning (the diff cache switch).
     SegmentStore::Options store;
   };
 
@@ -131,7 +125,6 @@ class SegmentServer : public ServerCore {
   X(repl_records_applied)    /* kWalAppend records applied */             \
   X(repl_stale_rejected)     /* records refused by epoch fence */         \
   X(promotions_accepted)     /* kPromote epochs adopted */                \
-  X(expired_grants_swept)    /* cached grants dropped by TTL */           \
   /* Self-healing replication (sync serving + backfill pulls). */         \
   X(sync_requests)           /* kSyncRequest frames served */             \
   X(sync_tails_served)       /* syncs answered with a WAL-tail fold */    \
@@ -170,13 +163,6 @@ class SegmentServer : public ServerCore {
   /// incremental checkpoint chain (`.iwinc`) from an older release: its
   /// commits may be in no other file.
   void recover();
-
-  /// Drops cached read grants older than cached_grant_ttl_ms across every
-  /// segment (no revoke round trip — the holder is presumed gone). Returns
-  /// the number swept; 0 when the TTL is disabled. Writers also apply the
-  /// TTL inline before fanning out revocations, so calling this is only
-  /// needed to reclaim grants on otherwise idle segments.
-  uint64_t sweep_expired_grants();
 
   Stats stats() const;
   /// Store-level stats for one segment (throws kNotFound).
@@ -234,9 +220,6 @@ class SegmentServer : public ServerCore {
     /// hello (copied from `compress_sessions_` at first touch): diff
     /// sections to and from this session carry the method-byte envelope.
     bool may_compress = false;
-    /// When the current cached grant was issued; the grant-TTL sweep
-    /// compares against it.
-    std::chrono::steady_clock::time_point grant_time{};
     /// Snapshot cut for an in-progress sync pull by this session
     /// (kSyncRequest in snapshot mode): serialized once at cursor 0 and
     /// sliced per chunk, so every chunk comes from one consistent cut even

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "interweave/interweave.hpp"
+#include "lane_modes.hpp"
 
 namespace iw {
 namespace {
@@ -87,7 +88,7 @@ void run_workload(uint64_t seed, bool faulty, RunResult* result) {
   // Long relative to any injected stall: a lease reclaim during the run
   // would mean a writer lock leaked, which the final stats assert against.
   sopts.writer_lease_ms = 1'500;
-  server::SegmentServer inner(sopts);
+  server::SegmentServer inner(lane_options(sopts));
 
   FaultSchedule::Options server_fopts;
   server_fopts.seed = seed ^ 0x5eed5eed;
@@ -144,7 +145,7 @@ void run_workload(uint64_t seed, bool faulty, RunResult* result) {
       if (faulty) ch = std::make_shared<FaultyChannel>(ch, schedule);
       return ch;
     };
-    clients.push_back(std::make_unique<Client>(factory, copts));
+    clients.push_back(std::make_unique<Client>(factory, lane_options(copts)));
     segs.push_back(clients.back()->open_segment(kUrl));
   }
   for (auto& s : schedules) s->arm(true);
@@ -265,6 +266,7 @@ void run_workload(uint64_t seed, bool faulty, RunResult* result) {
   EXPECT_EQ(result->lease_expirations, 0u)
       << "writer lock leaked, seed " << seed;
   EXPECT_EQ(result->stale_releases, 0u);
+  expect_lane_modes_held(sstats);
 
   // Clients are destroyed before the cores they talk to.
   segs.clear();
@@ -377,6 +379,7 @@ void run_restart_workload(uint64_t seed, bool restarts, RunResult* result) {
   sopts.checkpoint_every = 7;  // snapshot+journal-tail compose mid-run
   sopts.wal_sync = server::WriteAheadLog::Sync::kCommit;
   sopts.writer_lease_ms = 1'500;
+  sopts = lane_options(sopts);
   auto server = std::make_unique<server::SegmentServer>(sopts);
 
   RestartableCore core;
@@ -394,7 +397,7 @@ void run_restart_workload(uint64_t seed, bool restarts, RunResult* result) {
         [&core](const std::string&) {
           return std::make_shared<InProcChannel>(core);
         },
-        copts));
+        lane_options(copts)));
     segs.push_back(clients.back()->open_segment(kUrl));
   }
 
@@ -415,6 +418,7 @@ void run_restart_workload(uint64_t seed, bool restarts, RunResult* result) {
       // lock) and bring up a fresh one from disk. Journal, not checkpoint,
       // carries everything committed since the last periodic snapshot.
       core.set_server(nullptr);
+      expect_lane_modes_held(server->stats());
       server.reset();
       server = std::make_unique<server::SegmentServer>(sopts);
       server->recover();
@@ -471,6 +475,7 @@ void run_restart_workload(uint64_t seed, bool restarts, RunResult* result) {
     // One more cycle after the last commit: the full final state must come
     // back from disk alone.
     core.set_server(nullptr);
+    expect_lane_modes_held(server->stats());
     server.reset();
     server = std::make_unique<server::SegmentServer>(sopts);
     server->recover();
@@ -506,6 +511,7 @@ void run_restart_workload(uint64_t seed, bool restarts, RunResult* result) {
   segs.clear();
   clients.clear();
   core.set_server(nullptr);
+  expect_lane_modes_held(server->stats());
   server.reset();
   fs::remove_all(dir);
 }

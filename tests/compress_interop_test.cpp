@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -95,13 +94,9 @@ std::vector<uint8_t> update_section(const CallLog& log) {
   return section_at(in);
 }
 
-// IW_COMPRESS overrides the compression option on both ends; these tests
-// pin specific old/new peer mixes, so the override must not apply no
-// matter which ctest lane runs the binary.
+// Each test pins a specific old/new peer mix through the options alone.
 class CompressInterop : public ::testing::Test {
  protected:
-  void SetUp() override { ::unsetenv("IW_COMPRESS"); }
-
   static std::unique_ptr<Client> make_client(server::SegmentServer& core,
                                              Client::Options opts = {}) {
     return std::make_unique<Client>(

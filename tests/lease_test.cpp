@@ -12,6 +12,7 @@
 #include <thread>
 
 #include "interweave/interweave.hpp"
+#include "lane_modes.hpp"
 
 namespace iw {
 namespace {
@@ -69,7 +70,7 @@ Buffer empty_release_payload(const std::string& url, uint32_t version) {
 TEST(LeaseTest, WaiterReclaimsExpiredLease) {
   server::SegmentServer::Options opts;
   opts.writer_lease_ms = 100;
-  server::SegmentServer server(opts);
+  server::SegmentServer server(lane_options(opts));
   const std::string url = "host/lease";
 
   Harness h(server);
@@ -120,12 +121,13 @@ TEST(LeaseTest, WaiterReclaimsExpiredLease) {
 
   // B still holds a valid lock and can release normally.
   raw_call(*b, MsgType::kReleaseWrite, empty_release_payload(url, 0));
+  expect_lane_modes_held(server.stats());
 }
 
 TEST(LeaseTest, DisconnectBeatsLeaseExpiry) {
   server::SegmentServer::Options opts;
   opts.writer_lease_ms = 60'000;  // long lease: expiry cannot be the rescuer
-  server::SegmentServer server(opts);
+  server::SegmentServer server(lane_options(opts));
   const std::string url = "host/dead-holder";
 
   Harness h(server);
@@ -148,12 +150,13 @@ TEST(LeaseTest, DisconnectBeatsLeaseExpiry) {
   EXPECT_TRUE(acquired.load());
   EXPECT_EQ(server.stats().lease_expirations, 0u);
   raw_call(*b, MsgType::kReleaseWrite, empty_release_payload(url, 0));
+  expect_lane_modes_held(server.stats());
 }
 
 TEST(LeaseTest, RenewalKeepsSlowWriterAlive) {
   server::SegmentServer::Options opts;
   opts.writer_lease_ms = 300;
-  server::SegmentServer server(opts);
+  server::SegmentServer server(lane_options(opts));
   const std::string url = "host/renewal";
 
   Harness h(server);
@@ -189,6 +192,7 @@ TEST(LeaseTest, RenewalKeepsSlowWriterAlive) {
   EXPECT_EQ(server.stats().lease_expirations, 0u);
   EXPECT_EQ(server.segment_epoch(url), 0u);
   raw_call(*b, MsgType::kReleaseWrite, empty_release_payload(url, 0));
+  expect_lane_modes_held(server.stats());
 }
 
 // Full client-level recovery from lease expiry: the stalled client's
@@ -197,12 +201,12 @@ TEST(LeaseTest, RenewalKeepsSlowWriterAlive) {
 TEST(LeaseTest, ClientRecoversFromExpiredLease) {
   server::SegmentServer::Options sopts;
   sopts.writer_lease_ms = 80;
-  server::SegmentServer server(sopts);
+  server::SegmentServer server(lane_options(sopts));
   Harness h(server);
   auto factory = [&](const std::string&) { return h.channel(); };
 
-  Client a(factory);
-  Client b(factory);
+  Client a(factory, lane_options(Client::Options{}));
+  Client b(factory, lane_options(Client::Options{}));
   ClientSegment* sa = a.open_segment("host/recover");
   ClientSegment* sb = b.open_segment("host/recover");
   const TypeDescriptor* arr =
@@ -239,6 +243,7 @@ TEST(LeaseTest, ClientRecoversFromExpiredLease) {
   ASSERT_NE(blk, nullptr);
   EXPECT_EQ(reinterpret_cast<const int32_t*>(blk->data())[0], 22);
   a.write_unlock(sa);
+  expect_lane_modes_held(server.stats());
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -73,9 +72,6 @@ TEST(LockCache, RepeatReadAcquiresHitCacheWithoutRpc) {
 }
 
 TEST(LockCache, DisabledOptionFallsBackToRpcPerAcquire) {
-  if (std::getenv("IW_LOCK_CACHE") != nullptr) {
-    GTEST_SKIP() << "IW_LOCK_CACHE overrides the option under test";
-  }
   server::SegmentServer core;
   const std::string url = "host/cache-off";
   Client writer(inproc_factory(core));
@@ -305,93 +301,6 @@ TEST(LockCache, ReleaseReadKeepFlagRetainsServerRegistration) {
   EXPECT_GE(waited.count(), 50) << "kept lock did not force a revocation";
   EXPECT_EQ(core.stats().revokes_sent, 1u);
   EXPECT_EQ(core.stats().revokes_expired, 1u);
-  raw_call(*writer, MsgType::kReleaseWrite, empty_release_payload(url, 0));
-}
-
-TEST(LockCache, ExpiredGrantSweepReclaimsWedgedHolder) {
-  server::SegmentServer::Options sopts;
-  sopts.revoke_deadline_ms = 400;
-  sopts.cached_grant_ttl_ms = 60;
-  sopts.writer_lease_ms = 0;
-  server::SegmentServer core(sopts);
-  const std::string url = "host/ttl-sweep";
-
-  // A wedged holder: negotiates caching, keeps the registration on release,
-  // and will never ack a revoke. The TTL exists for exactly this client.
-  ReconnectingChannel::Options ropts;
-  ropts.announce_lock_caching = true;
-  auto reader = std::make_shared<ReconnectingChannel>(
-      [&core]() -> std::shared_ptr<ClientChannel> {
-        return std::make_shared<InProcChannel>(core);
-      },
-      ropts);
-  raw_call(*reader, MsgType::kOpenSegment, open_payload(url));
-  Frame resp = raw_call(*reader, MsgType::kAcquireRead,
-                        acquire_read_payload(url));
-  ASSERT_FALSE(resp.payload.empty());
-  ASSERT_EQ(resp.payload.back(), 1u) << "grant byte missing or denied";
-  Buffer keep;
-  keep.append_lp_string(url);
-  keep.append_u8(1);
-  raw_call(*reader, MsgType::kReleaseRead, std::move(keep));
-
-  // Fresh grants survive a sweep; only idle-past-TTL ones are reclaimed.
-  EXPECT_EQ(core.sweep_expired_grants(), 0u);
-  std::this_thread::sleep_for(milliseconds(120));
-  EXPECT_EQ(core.sweep_expired_grants(), 1u);
-  EXPECT_EQ(core.stats().expired_grants_swept, 1u);
-
-  // The grant is gone server-side: a writer acquires without revoking and
-  // without waiting out the revocation deadline.
-  auto writer = std::make_shared<InProcChannel>(core);
-  raw_call(*writer, MsgType::kOpenSegment, open_payload(url));
-  auto start = steady_clock::now();
-  raw_call(*writer, MsgType::kAcquireWrite, acquire_write_payload(url));
-  auto waited =
-      std::chrono::duration_cast<milliseconds>(steady_clock::now() - start);
-  EXPECT_LT(waited.count(), 200) << "swept grant still stalled the writer";
-  EXPECT_EQ(core.stats().revokes_sent, 0u);
-  raw_call(*writer, MsgType::kReleaseWrite, empty_release_payload(url, 0));
-}
-
-TEST(LockCache, WriterAppliesGrantTtlInlineWithoutSweep) {
-  server::SegmentServer::Options sopts;
-  sopts.revoke_deadline_ms = 400;
-  sopts.cached_grant_ttl_ms = 60;
-  sopts.writer_lease_ms = 0;
-  server::SegmentServer core(sopts);
-  const std::string url = "host/ttl-inline";
-
-  ReconnectingChannel::Options ropts;
-  ropts.announce_lock_caching = true;
-  auto reader = std::make_shared<ReconnectingChannel>(
-      [&core]() -> std::shared_ptr<ClientChannel> {
-        return std::make_shared<InProcChannel>(core);
-      },
-      ropts);
-  raw_call(*reader, MsgType::kOpenSegment, open_payload(url));
-  Frame resp = raw_call(*reader, MsgType::kAcquireRead,
-                        acquire_read_payload(url));
-  ASSERT_FALSE(resp.payload.empty());
-  ASSERT_EQ(resp.payload.back(), 1u);
-  Buffer keep;
-  keep.append_lp_string(url);
-  keep.append_u8(1);
-  raw_call(*reader, MsgType::kReleaseRead, std::move(keep));
-  std::this_thread::sleep_for(milliseconds(120));
-
-  // No explicit sweep: the writer's own revocation pass applies the TTL
-  // before fanning out, so the expired grant costs it neither a revoke
-  // round trip nor the deadline.
-  auto writer = std::make_shared<InProcChannel>(core);
-  raw_call(*writer, MsgType::kOpenSegment, open_payload(url));
-  auto start = steady_clock::now();
-  raw_call(*writer, MsgType::kAcquireWrite, acquire_write_payload(url));
-  auto waited =
-      std::chrono::duration_cast<milliseconds>(steady_clock::now() - start);
-  EXPECT_LT(waited.count(), 200) << "expired grant was revoked, not dropped";
-  EXPECT_EQ(core.stats().revokes_sent, 0u);
-  EXPECT_EQ(core.stats().expired_grants_swept, 1u);
   raw_call(*writer, MsgType::kReleaseWrite, empty_release_payload(url, 0));
 }
 

@@ -701,7 +701,6 @@ TEST_F(WalRecovery, ReplicaJournalsPrimaryRecordsVerbatim) {
   // replica journals the bytes it is streamed and never re-encodes them.
   // With a workload that mixes compressible and small (raw) commits, the
   // two journals must hold the same records, encoding included.
-  ::unsetenv("IW_COMPRESS");
   SegmentServer::Options ropts = server_options();
   ropts.checkpoint_dir = (dir_ / "replica").string();
   ropts.compress_payloads = true;
